@@ -5,17 +5,15 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <new>
-
-#include "bench_util.hpp"
 
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
 #include "exp/large_scale_scenario.hpp"
 #include "exp/parallel_runner.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/simulator.hpp"
 #include "topo/many_to_one.hpp"
 
@@ -41,13 +39,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-// The scheduler benches run once per backend (BENCHMARK_CAPTURE), so one
-// invocation reports the heap/wheel comparison side by side regardless of
-// the TRIM_SCHEDULER the process inherited.
-void BM_EventQueuePushPop(benchmark::State& state, sim::SchedulerKind kind) {
+void BM_EventQueuePushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::EventQueue q{kind};
+    sim::CalendarQueue q;
     for (int i = 0; i < n; ++i) {
       q.push(sim::SimTime::nanos((i * 7919) % 100000), [] {});
     }
@@ -55,16 +50,11 @@ void BM_EventQueuePushPop(benchmark::State& state, sim::SchedulerKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * n * 2);
 }
-BENCHMARK_CAPTURE(BM_EventQueuePushPop, heap, sim::SchedulerKind::kHeap)
-    ->Arg(1000)
-    ->Arg(100000);
-BENCHMARK_CAPTURE(BM_EventQueuePushPop, wheel, sim::SchedulerKind::kWheel)
-    ->Arg(1000)
-    ->Arg(100000);
+BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(100000);
 
-void BM_SimulatorTimerChain(benchmark::State& state, sim::SchedulerKind kind) {
+void BM_SimulatorTimerChain(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator sim{kind};
+    sim::Simulator sim;
     int remaining = static_cast<int>(state.range(0));
     std::function<void()> tick = [&] {
       if (--remaining > 0) sim.schedule(sim::SimTime::nanos(10), tick);
@@ -74,14 +64,11 @@ void BM_SimulatorTimerChain(benchmark::State& state, sim::SchedulerKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_CAPTURE(BM_SimulatorTimerChain, heap, sim::SchedulerKind::kHeap)
-    ->Arg(10000);
-BENCHMARK_CAPTURE(BM_SimulatorTimerChain, wheel, sim::SchedulerKind::kWheel)
-    ->Arg(10000);
+BENCHMARK(BM_SimulatorTimerChain)->Arg(10000);
 
-void BM_EventCancellation(benchmark::State& state, sim::SchedulerKind kind) {
+void BM_EventCancellation(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EventQueue q{kind};
+    sim::CalendarQueue q;
     std::vector<sim::EventId> ids;
     ids.reserve(10000);
     for (int i = 0; i < 10000; ++i) {
@@ -92,17 +79,15 @@ void BM_EventCancellation(benchmark::State& state, sim::SchedulerKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
-BENCHMARK_CAPTURE(BM_EventCancellation, heap, sim::SchedulerKind::kHeap);
-BENCHMARK_CAPTURE(BM_EventCancellation, wheel, sim::SchedulerKind::kWheel);
+BENCHMARK(BM_EventCancellation);
 
 // The per-ACK pattern TCP senders generate: every ACK cancels the pending
 // RTO timer and schedules a new one further out, against a backlog of
 // other flows' timers. With lazy cancellation each round grew the
-// tombstone set; both backends remove entries for real (the heap in
-// O(log n), the wheel in O(1)).
-void BM_RtoReschedule(benchmark::State& state, sim::SchedulerKind kind) {
+// tombstone set; the wheel removes entries for real, in O(1).
+void BM_RtoReschedule(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
-  sim::EventQueue q{kind};
+  sim::CalendarQueue q;
   std::vector<sim::EventId> timers(flows);
   std::int64_t t = 0;
   for (int f = 0; f < flows; ++f) {
@@ -117,12 +102,7 @@ void BM_RtoReschedule(benchmark::State& state, sim::SchedulerKind kind) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_RtoReschedule, heap, sim::SchedulerKind::kHeap)
-    ->Arg(100)
-    ->Arg(10000);
-BENCHMARK_CAPTURE(BM_RtoReschedule, wheel, sim::SchedulerKind::kWheel)
-    ->Arg(100)
-    ->Arg(10000);
+BENCHMARK(BM_RtoReschedule)->Arg(100)->Arg(10000);
 
 // Steady-state allocation count of the schedule/dispatch cycle: a churning
 // queue with Packet-sized captures must stop allocating once its pools are
@@ -132,10 +112,10 @@ void BM_EventPathAllocations(benchmark::State& state) {
     unsigned char bytes[56];
     void* link;
   };
-  sim::EventQueue q;
+  sim::CalendarQueue q;
   FakePacketCapture cap{};
   std::int64_t t = 0;
-  for (int i = 0; i < 64; ++i) {  // warm the slot pool and heap vector
+  for (int i = 0; i < 64; ++i) {  // warm the slot pool and bucket vectors
     q.push(sim::SimTime::nanos(++t), [cap] { benchmark::DoNotOptimize(&cap); });
   }
   std::uint64_t ops = 0;
@@ -214,150 +194,6 @@ void BM_ParallelSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// ---------------------------------------------------------------------------
-// Scheduler backend comparison on a fig. 8-shaped event mix.
-//
-// Pure scheduler ops, no TCP stack: `flows` senders each keep a window of
-// in-flight packet events plus one RTO timer. Every dispatched event is
-// replaced by a new one an RTT out (ACK clocking) and reschedules one
-// flow's RTO (cancel + push — the per-ACK timer pattern), so the pending
-// set stays at ~21 events per flow, which is what the fig. 8 concurrency
-// sweep holds per server. flows=4200 matches the paper-scale run;
-// flows=42000 is the 10x point the calendar queue exists for.
-//
-// The workload is deterministic, and the dispatch-time checksum must match
-// across backends — a cheap end-to-end restatement of the byte-identical
-// dispatch guarantee, validated here at scales the unit tests don't reach.
-
-struct SchedWorkloadResult {
-  double events_per_sec = 0;  // dispatched events per wall second
-  double ops_per_sec = 0;     // pushes + pops + cancels per wall second
-  std::uint64_t checksum = 0;
-  double wall_s = 0;
-};
-
-SchedWorkloadResult run_sched_workload(sim::SchedulerKind kind, int flows,
-                                       std::uint64_t pops) {
-  constexpr int kWindow = 20;
-  sim::EventQueue q{kind};
-  std::uint64_t lcg = 0x2545F4914F6CDD1Dull ^ static_cast<std::uint64_t>(flows);
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return lcg >> 33;
-  };
-  std::vector<sim::EventId> rto(static_cast<std::size_t>(flows));
-  for (int f = 0; f < flows; ++f) {
-    for (int w = 0; w < kWindow; ++w) {
-      q.push(sim::SimTime::nanos(static_cast<std::int64_t>(1000 + next() % 100000)),
-             [] {});
-    }
-    rto[static_cast<std::size_t>(f)] = q.push(
-        sim::SimTime::nanos(static_cast<std::int64_t>(10'000'000 + next() % 1'000'000)),
-        [] {});
-  }
-
-  std::uint64_t checksum = 1469598103934665603ull;  // FNV offset basis
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t done = 0; done < pops; ++done) {
-    auto ev = q.pop();
-    const std::int64_t now = ev.at.ns();
-    checksum = (checksum ^ static_cast<std::uint64_t>(now)) * 1099511628211ull;
-    // One draw feeds all three decisions, so the harness stays a sliver of
-    // the scheduler work being measured.
-    const std::uint64_t r = next();
-    // ACK clocking: the fired event's successor lands ~one RTT out.
-    q.push(sim::SimTime::nanos(now + 100'000 +
-                               static_cast<std::int64_t>(r & 0xffff)),
-           [] {});
-    // Per-ACK RTO reset on a pseudo-random flow. The cancelled id may
-    // already have fired — a no-op on both backends, in the same places,
-    // because the dispatch order is identical.
-    const auto f = static_cast<std::size_t>((r >> 16) % static_cast<std::uint64_t>(flows));
-    q.cancel(rto[f]);
-    rto[f] = q.push(sim::SimTime::nanos(now + 10'000'000 +
-                                        static_cast<std::int64_t>(r >> 47)),
-                    [] {});
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  SchedWorkloadResult r;
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.checksum = checksum;
-  r.events_per_sec = static_cast<double>(pops) / r.wall_s;
-  r.ops_per_sec = static_cast<double>(pops * 4) / r.wall_s;  // pop+2push+cancel
-  return r;
-}
-
-// Runs the workload on both backends at fig. 8 scale and the 10x point,
-// writes BENCH_engine_sched.json / REPORT_engine_sched.json, and fails the
-// process when the backends disagree on the dispatch-time checksum. CI
-// gates on the wheel-vs-heap speedup in the JSON.
-int run_engine_sched_suite() {
-  bench::BenchJson json{"engine_sched"};
-  obs::RunReport report{"engine_sched"};
-  const std::uint64_t pops = exp::quick_mode() ? 500'000 : 2'000'000;
-  bool checksums_agree = true;
-
-  std::printf("\nScheduler backend comparison (fig. 8 event mix, %llu dispatches)\n",
-              static_cast<unsigned long long>(pops));
-  // Best-of-N against OS noise: the workload is deterministic, so slower
-  // repetitions only measure interference, and the checksum must agree
-  // across every repetition and backend.
-  const int reps = exp::quick_mode() ? 1 : 3;
-  auto best_of = [&](sim::SchedulerKind kind, int flows) {
-    SchedWorkloadResult best = run_sched_workload(kind, flows, pops);
-    for (int i = 1; i < reps; ++i) {
-      const auto r = run_sched_workload(kind, flows, pops);
-      if (r.checksum != best.checksum) best.checksum = 0;  // poison: mismatch
-      if (r.events_per_sec > best.events_per_sec) {
-        const auto sum = best.checksum;
-        best = r;
-        best.checksum = sum;
-      }
-    }
-    return best;
-  };
-  for (const int flows : {4200, 42000}) {
-    const auto heap = best_of(sim::SchedulerKind::kHeap, flows);
-    const auto wheel = best_of(sim::SchedulerKind::kWheel, flows);
-    const double speedup = wheel.events_per_sec / heap.events_per_sec;
-    const bool match = heap.checksum == wheel.checksum;
-    checksums_agree = checksums_agree && match;
-    std::printf(
-        "  flows=%-6d pending~%-7d heap %8.2f Mev/s   wheel %8.2f Mev/s   "
-        "wheel/heap %.2fx   checksum %s\n",
-        flows, flows * 21, heap.events_per_sec / 1e6, wheel.events_per_sec / 1e6,
-        speedup, match ? "match" : "MISMATCH");
-    const std::string point = "fig08_mix_" + std::to_string(flows);
-    json.add(point + "/heap", heap.events_per_sec,
-             {{"ops_per_sec", heap.ops_per_sec}, {"wall_seconds", heap.wall_s}});
-    json.add(point + "/wheel", wheel.events_per_sec,
-             {{"ops_per_sec", wheel.ops_per_sec},
-              {"wall_seconds", wheel.wall_s},
-              {"speedup_vs_heap", speedup},
-              {"checksum_match", match ? 1.0 : 0.0}});
-    report.add_row(point, {{"heap_events_per_sec", heap.events_per_sec},
-                           {"wheel_events_per_sec", wheel.events_per_sec},
-                           {"wheel_speedup", speedup},
-                           {"checksum_match", match ? 1.0 : 0.0}});
-  }
-  json.write();
-  report.set_profile(obs::sweep_profiler().snapshot());
-  report.write();
-  if (!checksums_agree) {
-    std::fprintf(stderr,
-                 "FATAL: heap and wheel dispatched different event orders\n");
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return run_engine_sched_suite();
-}
+BENCHMARK_MAIN();

@@ -59,7 +59,7 @@ struct Conn {
 
 ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   validate(cfg);
-  World world{cfg.shards, cfg.scheduler};
+  World world{cfg.shards};
 
   topo::TwoTierConfig topo_cfg;
   topo_cfg.num_switches = cfg.num_switches;

@@ -35,20 +35,10 @@ std::vector<std::unique_ptr<mem::SimMemory>> make_domains(int shards) {
 }
 }  // namespace
 
-World::World() : World{0, std::nullopt} {}
-
-World::World(int shards) : World{shards, std::nullopt} {}
-
-World::World(int shards, std::optional<sim::SchedulerKind> scheduler)
-    : World{shards, scheduler, std::nullopt} {}
-
-World::World(int shards, std::optional<sim::SchedulerKind> scheduler,
-             std::optional<sim::SyncMode> sync)
+World::World(int shards)
     : shard_memory{make_domains(resolve_shards(shards))},
       shard_telemetry{make_bundles(static_cast<int>(shard_memory.size()))},
-      engine{static_cast<int>(shard_telemetry.size()),
-             scheduler.value_or(sim::scheduler_kind_from_env()),
-             sync.value_or(sim::sync_mode_from_env())},
+      engine{static_cast<int>(shard_telemetry.size())},
       telemetry{*shard_telemetry.front()},
       simulator{engine.control()},
       network{&simulator} {
@@ -98,8 +88,6 @@ void World::publish_engine_metrics() const {
   reg.gauge("shard.window_advance_max_us")
       ->set(engine.max_window_advance().to_micros());
   reg.gauge("shard.events_imbalance")->set(engine.events_imbalance());
-  reg.gauge("shard.sync_matrix")
-      ->set(engine.sync_mode() == sim::SyncMode::kMatrix ? 1.0 : 0.0);
   reg.gauge("shard.windows_skipped")
       ->set(static_cast<double>(engine.windows_skipped()));
 }

@@ -19,12 +19,6 @@
 //                   partition their topology (fig08, fig12) run one giant
 //                   world across that many cores; everything else is
 //                   unaffected. See docs/ENGINE.md, "Sharded engine".
-//   TRIM_SHARD_SYNC "global" or "matrix" (the default): how the sharded
-//                   engine synchronizes. global = one fleet-wide window
-//                   from the min cut delay; matrix = per-pair lookahead
-//                   matrix with per-shard windows and eager delivery.
-//                   Only consulted when TRIM_SHARDS > 1 and the topology
-//                   actually partitions. See docs/ENGINE.md.
 #pragma once
 
 #include <cstdint>
@@ -68,16 +62,12 @@ int resolve_shards(int requested);
 // `simulator` aliases shard 0 (the control shard), where topologies are
 // built before topo::shard_network spreads them out.
 struct World {
-  World();
-  explicit World(int shards);
-  World(int shards, std::optional<sim::SchedulerKind> scheduler);
-  // Canonical constructor: `shards` >= 1 wins over TRIM_SHARDS, a set
-  // `scheduler` overrides the (process-cached) TRIM_SCHEDULER knob, and a
-  // set `sync` overrides TRIM_SHARD_SYNC — the lockstep equivalence tests
-  // build heap/wheel and global/matrix worlds side by side in one process
-  // through this.
-  World(int shards, std::optional<sim::SchedulerKind> scheduler,
-        std::optional<sim::SyncMode> sync);
+  // `shards` >= 1 wins over TRIM_SHARDS (see resolve_shards).
+  explicit World(int shards = 0);
+  // Same as World{shards}. Kept only because the frozen benchmark driver
+  // (perfbench/workloads.cpp) constructs its worlds as
+  // World(1, std::nullopt, std::nullopt).
+  World(int shards, std::nullopt_t, std::nullopt_t) : World{shards} {}
   // Folds this world's event-loop wall time into obs::sweep_profiler()
   // ("sim.run", items = events dispatched), so bench reports break the
   // clock down into loop time vs. harness time. Also writes the TRACE

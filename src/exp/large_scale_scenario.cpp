@@ -22,7 +22,7 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
           "LargeScaleConfig::lpt_servers_per_switch", "[0, servers_per_switch]");
   require(cfg.spt_window > sim::SimTime::zero(), "empty SPT window",
           "LargeScaleConfig::spt_window", "> 0");
-  World world{cfg.shards, std::nullopt, cfg.sync_mode};
+  World world{cfg.shards};
   InvariantScope inv{world, cfg.spt_window + cfg.drain};
   sim::Rng rng{cfg.seed};
 

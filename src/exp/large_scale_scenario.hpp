@@ -7,11 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "obs/telemetry.hpp"
-#include "sim/sched_types.hpp"
 #include "sim/time.hpp"
 #include "tcp/tcp_common.hpp"
 
@@ -33,9 +31,6 @@ struct LargeScaleConfig {
   // >1 partitions the two-tier topology across that many cores (the bench
   // sets this explicitly; TRIM_SHARDS=1 keeps the serial engine).
   int shards = 0;
-  // Shard sync protocol: unset defers to TRIM_SHARD_SYNC (the scaling
-  // bench pins both modes explicitly for side-by-side curves).
-  std::optional<sim::SyncMode> sync_mode;
 };
 
 struct LargeScaleResult {

@@ -206,9 +206,9 @@ void CalendarQueue::refill_ready() {
       }
       bucket_consumed(0, slot, vec.size());
       vec.clear();
-      // Restore the heap's tie-break: equal-time events fire in insertion
-      // order. (Bucket entries are unordered — pushes append, cascades
-      // interleave — so the run is sorted once, when it goes live.)
+      // Restore the (time, seq) tie-break: equal-time events fire in
+      // insertion order. (Bucket entries are unordered — pushes append,
+      // cascades interleave — so the run is sorted once, when it goes live.)
       if (ready_.size() - ready_pos_ > 1) {
         std::sort(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
                   ready_.end(),

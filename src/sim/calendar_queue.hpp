@@ -1,8 +1,10 @@
 // Hierarchical calendar-queue (timing-wheel) scheduler with amortized O(1)
-// schedule / pop / cancel, used by EventQueue when TRIM_SCHEDULER=wheel
-// (the default). Dispatch order is byte-identical to the 4-ary heap
-// backend: events fire in (time, insertion-sequence) order, so every
-// figure reproduction produces the same output under either backend.
+// schedule / pop / cancel: the Simulator's pending-event set. Events fire
+// in (time, insertion-sequence) order, cancellation is true removal, stale
+// EventIds are no-ops by construction, and steady state allocates nothing.
+// tests/sim/reference_heap.hpp holds a plain 4-ary heap with the same
+// contract; the scheduler equivalence tests check this queue against it
+// dispatch for dispatch. See docs/ENGINE.md for the lifecycle.
 //
 // Layout: 8 levels x 256 buckets. An event whose time differs from the
 // wheel's current position `cur_` first in byte `L` (counting from the
@@ -31,15 +33,14 @@
 //   - cancel: swap-remove the event's bucket entry (O(1), touching only
 //     the displaced tail entry) or leave a generation-stale tombstone in
 //     the ready run that pop skips. EventId generations make
-//     cancel-after-fire and slot-reuse no-ops exactly as in the heap
-//     backend.
+//     cancel-after-fire and slot-reuse no-ops.
 //
 // The tie-break invariant the figure benches depend on: all events in one
 // level-0 bucket share the same timestamp (within the current 256-tick
 // window the low byte *is* the time), so sorting the bucket by insertion
-// sequence when it becomes the ready run reproduces the heap's
-// (time, seq) dispatch order exactly — including events scheduled "now"
-// from inside callbacks, which append to the live run in sequence order.
+// sequence when it becomes the ready run yields the exact (time, seq)
+// dispatch order — including events scheduled "now" from inside
+// callbacks, which append to the live run in sequence order.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,6 @@
-// Types shared by the scheduler backends (the 4-ary heap and the
-// hierarchical calendar queue) and the EventQueue facade that selects
-// between them at runtime via TRIM_SCHEDULER. Both backends hand out the
-// same EventId handle — (slot, generation) into the backend's own slot
-// pool — so callers schedule and cancel identically regardless of which
-// backend is live.
+// Types the calendar-queue scheduler (sim/calendar_queue.hpp) hands out:
+// the EventId handle — (slot, generation) into the queue's slot pool — and
+// the popped (time, callback) pair.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +10,6 @@
 
 namespace trim::sim {
 
-class EventQueue;
-class HeapEventQueue;
 class CalendarQueue;
 
 // Opaque handle to a scheduled event; used to cancel timers. Stale handles
@@ -26,8 +21,6 @@ class EventId {
   constexpr auto operator<=>(const EventId&) const = default;
 
  private:
-  friend class EventQueue;
-  friend class HeapEventQueue;
   friend class CalendarQueue;
   static constexpr std::uint32_t kInvalid = 0xffff'ffff;
   constexpr EventId(std::uint32_t slot, std::uint32_t gen)
@@ -36,35 +29,10 @@ class EventId {
   std::uint32_t gen_ = 0;
 };
 
-// The next event, popped off a scheduler backend.
+// The next event, popped off the scheduler.
 struct PoppedEvent {
   SimTime at;
   InlineCallback cb;
 };
-
-enum class SchedulerKind : std::uint8_t {
-  kHeap,   // index-tracked 4-ary heap: O(log n) schedule/pop/cancel
-  kWheel,  // hierarchical calendar queue: amortized O(1)
-};
-
-// TRIM_SCHEDULER=heap|wheel; anything else (including unset) selects the
-// wheel. Parsed once per process and cached — the A/B switch is meant for
-// whole-run comparisons, not mid-run flips.
-SchedulerKind scheduler_kind_from_env();
-
-const char* to_string(SchedulerKind kind);
-
-// How the sharded engine (sim/sharded_engine.hpp) synchronizes its shards.
-enum class SyncMode : std::uint8_t {
-  kGlobal,  // PR 6 protocol: one fleet-wide window m + min-cut lookahead
-  kMatrix,  // per-pair lookahead matrix, per-shard windows, eager delivery
-};
-
-// TRIM_SHARD_SYNC=global|matrix; anything else (including unset) selects
-// the matrix protocol. Parsed once per process and cached, like the
-// scheduler knob: A/B comparisons rebuild the world per mode.
-SyncMode sync_mode_from_env();
-
-const char* to_string(SyncMode mode);
 
 }  // namespace trim::sim

@@ -94,21 +94,14 @@ class AdaptiveBarrier {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(int shards)
-    : ShardedEngine{shards, scheduler_kind_from_env(), sync_mode_from_env()} {}
-
-ShardedEngine::ShardedEngine(int shards, SchedulerKind kind)
-    : ShardedEngine{shards, kind, sync_mode_from_env()} {}
-
-ShardedEngine::ShardedEngine(int shards, SchedulerKind kind, SyncMode sync)
-    : sync_mode_{sync} {
+ShardedEngine::ShardedEngine(int shards) {
   if (shards < 1) {
     throw ConfigError{"shard count must be >= 1", "ShardedEngine", "[1, 256]"};
   }
   if (shards > 256) shards = 256;
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Simulator>(kind));
+    shards_.push_back(std::make_unique<Simulator>());
   }
   const auto n = static_cast<std::size_t>(shards);
   mail_.resize(n * n);
@@ -190,12 +183,6 @@ void ShardedEngine::post(int src, int dst, SimTime due, InlineCallback cb) {
   if (due < min_due) min_due = due;
 }
 
-SimTime ShardedEngine::earliest_event() const {
-  SimTime m = SimTime::max();
-  for (const auto& s : shards_) m = std::min(m, s->next_event_time());
-  return m;
-}
-
 SimTime ShardedEngine::shard_eit(int s) const {
   SimTime t = shards_[static_cast<std::size_t>(s)]->next_event_time();
   const int n = shard_count();
@@ -204,34 +191,6 @@ SimTime ShardedEngine::shard_eit(int s) const {
     t = std::min({t, box.min_due[0], box.min_due[1]});
   }
   return t;
-}
-
-void ShardedEngine::flush_mailboxes() {
-  const int n = shard_count();
-  for (int dst = 0; dst < n; ++dst) {
-    for (int src = 0; src < n; ++src) {
-      Mailbox& box = mail_[mailbox_index(src, dst)];
-      std::uint64_t count = 0;
-      // Global mode only ever fills buf[0] (write_buf_ never flips), but
-      // drain both in order so a restarted engine holds no stale mail.
-      for (auto& buf : box.buf) {
-        for (auto& entry : buf) {
-          shards_[static_cast<std::size_t>(dst)]->schedule_at(
-              entry.due, std::move(entry.cb));
-        }
-        count += static_cast<std::uint64_t>(buf.size());
-        buf.clear();  // keeps capacity; steady state allocates nothing
-      }
-      box.min_due[0] = box.min_due[1] = SimTime::max();
-      if (count == 0) continue;
-      box.flushed += count;
-      posts_flushed_ += count;
-      ++flush_batches_;
-      if (flush_observer_) {
-        flush_observer_(src, dst, count, last_window_end_);
-      }
-    }
-  }
 }
 
 void ShardedEngine::drain_inbox(int dst) {
@@ -269,33 +228,8 @@ void ShardedEngine::report_drains() {
   }
 }
 
-void ShardedEngine::plan_global(SimTime until) {
-  flush_mailboxes();
-  const SimTime m = earliest_event();
-  if (m == SimTime::max() || m > until) {
-    done_ = true;
-    return;
-  }
-  // end <= m + lookahead: every cross-shard arrival produced inside the
-  // window is due at >= m + lookahead >= end, i.e. never behind any
-  // shard's clock. Progress: the shard owning m always dispatches.
-  const SimTime end = until - m <= lookahead_ ? until : m + lookahead_;
-  for (auto& w : window_end_) w = end;
-  ++windows_run_;
-  const SimTime advance = end - m;
-  if (advance > max_window_advance_) max_window_advance_ = advance;
-  last_window_end_ = end;
-  if (window_observer_) window_observer_(end, advance);
-}
-
-void ShardedEngine::plan_matrix(SimTime until) {
+void ShardedEngine::plan(SimTime until) {
   const int n = shard_count();
-  // Account the eager drains the destination workers performed during the
-  // window that just ended — single-threaded here, so the observer stream
-  // stays deterministic — then flip the buffers: everything posted in the
-  // closed window becomes readable, the drained buffer becomes writable.
-  report_drains();
-  write_buf_ ^= 1;
   SimTime m = SimTime::max();
   for (int s = 0; s < n; ++s) {
     eit_[static_cast<std::size_t>(s)] = shard_eit(s);
@@ -353,44 +287,44 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
 std::uint64_t ShardedEngine::run_windows(SimTime until) {
   const int n = shard_count();
   const std::uint64_t dispatched_before = events_dispatched();
-  const bool matrix = sync_mode_ == SyncMode::kMatrix;
-  if (matrix) ensure_closure();
+  ensure_closure();
 
-  // Window plan, recomputed at each barrier by exactly one thread. The
-  // first plan runs before any worker starts.
-  auto plan = [this, until, matrix]() noexcept {
-    if (matrix) {
-      plan_matrix(until);
-    } else {
-      plan_global(until);
-    }
-  };
-
+  // The window plan is recomputed at each barrier by exactly one thread.
+  // The first plan runs before any worker starts and flips no buffers:
+  // mail posted in the last window of an earlier run_until call already
+  // sits in the read buffer, and the first window must drain it.
   done_ = false;
   failed_shard_.store(-1, std::memory_order_relaxed);
-  plan();
+  plan(until);
 
   if (!done_) {
     const unsigned hw = std::thread::hardware_concurrency();
     AdaptiveBarrier sync{n,
-                         [&plan, this]() noexcept {
+                         [this, until]() noexcept {
                            if (failed_shard_.load(std::memory_order_relaxed) >=
                                0) {
                              done_ = true;
                              return;
                            }
-                           plan();
+                           // Account the eager drains of the window that
+                           // just ended (single-threaded, so the observer
+                           // stream stays deterministic), then flip the
+                           // buffers: the closed window's posts become
+                           // readable, the drained buffers writable.
+                           report_drains();
+                           write_buf_ ^= 1;
+                           plan(until);
                          },
                          hw != 0 && hw < static_cast<unsigned>(n)};
 
-    auto worker = [this, &sync, matrix](int shard_index) {
+    auto worker = [this, &sync](int shard_index) {
       Simulator& sim = *shards_[static_cast<std::size_t>(shard_index)];
       ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard_index)];
       bool first_arrival = true;
       while (true) {
         if (failed_shard_.load(std::memory_order_relaxed) < 0) {
           try {
-            if (matrix) drain_inbox(shard_index);
+            drain_inbox(shard_index);
             const SimTime end =
                 window_end_[static_cast<std::size_t>(shard_index)];
             if (sim.next_event_time() <= end) {

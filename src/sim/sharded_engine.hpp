@@ -7,24 +7,8 @@
 // themselves as *cut links*; their delivery leg crosses shards through a
 // per-(source, destination) mailbox instead of the local event queue.
 //
-// Synchronization is conservative, in barrier windows, in one of two
-// protocols selected by TRIM_SHARD_SYNC (sim::SyncMode):
-//
-// kGlobal — the original fleet-wide window:
-//
-//   lookahead L = min prop_delay over all cut links (must be > 0)
-//   window k   = (end_{k-1}, end_k],  end_k = min(until, m + L)
-//                where m is the earliest pending event across all shards
-//
-//   Every shard runs its own events through end_k in parallel, then all
-//   shards meet at a barrier. A packet handed to a cut link at time t
-//   inside the window arrives at t + prop_delay >= m + L >= end_k, so no
-//   shard can ever need an event another shard has not yet produced:
-//   cross-shard arrivals are flushed from the mailboxes at the barrier —
-//   in fixed (destination, source, FIFO) order — and scheduled before the
-//   next window begins.
-//
-// kMatrix (the default) — distance-aware per-shard windows:
+// Synchronization is conservative, in barrier windows, with
+// distance-aware per-shard window ends:
 //
 //   L[src][dst] = min total prop_delay over cut-link paths src -> dst
 //                 (seeded per cut link, closed over multi-hop shard paths
@@ -53,20 +37,19 @@
 //   idle-shard fast path), and the barrier itself spins adaptively before
 //   blocking.
 //
-// Windows in both modes never violate causality, and each mode's run is
-// deterministic for a given shard count: window plans, drains, and flush
-// order are pure functions of simulation state, never of thread timing.
+// Windows never violate causality, and a run is deterministic for a given
+// shard count: window plans, drains, and flush order are pure functions of
+// simulation state, never of thread timing.
 //
 // Determinism contract (see docs/ENGINE.md "Sharded engine"):
 //   - TRIM_SHARDS=1 (the default) is the serial engine, byte-identical to
 //     a plain Simulator run.
-//   - TRIM_SHARDS=n is deterministic: same build + config + n + sync mode
-//     => same results, at any hardware parallelism.
-//   - Across different n (and between sync modes), events with *distinct*
-//     timestamps dispatch in identical order; simultaneous events on
-//     different shards may interleave differently (same-timestamp tie
-//     order is an engine artifact, exactly like heap-vs-wheel insertion
-//     order was before both backends pinned it).
+//   - TRIM_SHARDS=n is deterministic: same build + config + n => same
+//     results, at any hardware parallelism.
+//   - Across different n, events with *distinct* timestamps dispatch in
+//     identical order; simultaneous events on different shards may
+//     interleave differently (same-timestamp tie order across shards is an
+//     engine artifact).
 #pragma once
 
 #include <atomic>
@@ -74,7 +57,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/sched_types.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -82,11 +64,8 @@ namespace trim::sim {
 
 class ShardedEngine {
  public:
-  // `shards` >= 1. Every shard simulator uses `kind`; the defaults keep
-  // the TRIM_SCHEDULER / TRIM_SHARD_SYNC runtime switches working.
+  // `shards` >= 1 (clamped to 256).
   explicit ShardedEngine(int shards);
-  ShardedEngine(int shards, SchedulerKind kind);
-  ShardedEngine(int shards, SchedulerKind kind, SyncMode sync);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -97,17 +76,15 @@ class ShardedEngine {
   // TRIM_SHARDS=1).
   Simulator& control() { return shard(0); }
 
-  SyncMode sync_mode() const { return sync_mode_; }
-
   // Called by Network::apply_partition for every link whose endpoints land
   // on different shards: seeds the (src, dst) cell of the lookahead
-  // matrix and shrinks the global lookahead to min(prop_delay). Throws
+  // matrix and shrinks lookahead() to min(prop_delay). Throws
   // ConfigError on a zero-delay cut (the partition must not split such
   // links — conservative sync would make no progress) or out-of-range
   // shard ids.
   void note_cut_link(int src, int dst, SimTime prop_delay);
-  // Pairless variant: seeds *every* (src, dst) pair with `prop_delay`,
-  // collapsing the matrix protocol to the global one. For callers (and
+  // Pairless variant: seeds *every* (src, dst) pair with `prop_delay`, so
+  // every shard paces on the one fleet-wide minimum. For callers (and
   // tests) that do not know the cut's endpoints.
   void note_cut_link(SimTime prop_delay);
 
@@ -133,10 +110,9 @@ class ShardedEngine {
   // Cross-shard hand-off: run `cb` on shard `dst` at time `due`. Called
   // only from shard `src`'s thread during a window (the cut-link delivery
   // path); due must be at or beyond shard dst's current window end, which
-  // the lookahead rule guarantees in both sync modes. Entries buffer in
-  // the (src, dst) mailbox; the global protocol flushes them at the
-  // barrier, the matrix protocol lets the destination worker drain them
-  // at the start of its next window.
+  // the lookahead rule guarantees. Entries buffer in the (src, dst)
+  // mailbox; the destination worker drains them at the start of its next
+  // window.
   void post(int src, int dst, SimTime due, InlineCallback cb);
 
   // Run until every shard (and every mailbox) drains, or until `until`
@@ -190,7 +166,7 @@ class ShardedEngine {
   std::uint64_t posts_flushed() const { return posts_flushed_; }
   std::uint64_t flush_batches() const { return flush_batches_; }
   // Widest window planned so far, measured beyond the earliest pending
-  // event (<= lookahead by construction in global mode; deterministic).
+  // event (deterministic).
   SimTime max_window_advance() const { return max_window_advance_; }
 
   // Ratio of the busiest shard's windowed event count to the mean
@@ -201,9 +177,9 @@ class ShardedEngine {
   // barrier completion step): the window observer after each plan with
   // (fleet window end, advance beyond the earliest event); the flush
   // observer once per nonempty (src, dst) mailbox batch with the post
-  // count and the window boundary it was reported at (in matrix mode,
-  // eager drains are accounted at the completion step *after* the window
-  // that drained them). Must not throw.
+  // count and the window boundary it was reported at (eager drains are
+  // accounted at the completion step *after* the window that drained
+  // them). Must not throw.
   void set_window_observer(InlineFunction<void(SimTime, SimTime)> cb) {
     window_observer_ = std::move(cb);
   }
@@ -223,7 +199,7 @@ class ShardedEngine {
   };
   // Cache-line aligned so two shards posting into adjacent (src, dst)
   // boxes during a window never write the same line. Double-buffered for
-  // the matrix protocol's eager delivery: the source pushes into
+  // eager delivery: the source pushes into
   // buf[write_buf_] during window k, the (single-threaded) completion
   // step flips write_buf_, and the destination worker drains the other
   // buffer during window k+1 — writer and reader never touch the same
@@ -242,31 +218,25 @@ class ShardedEngine {
     return static_cast<std::size_t>(src) * shards_.size() +
            static_cast<std::size_t>(dst);
   }
-  // Earliest pending event across all shards (SimTime::max() when idle).
-  SimTime earliest_event() const;
   // Earliest input shard `s` can still produce or consume: its own queue
   // plus every undrained mailbox entry addressed to it.
   SimTime shard_eit(int s) const;
   // Recompute the closed lookahead matrix from the seeds if stale.
   void ensure_closure();
-  // Global protocol: schedule every buffered mailbox entry on its
-  // destination shard, in (destination, source, FIFO) order.
-  // Single-threaded: runs between windows only.
-  void flush_mailboxes();
-  // Matrix protocol: destination worker schedules its own inbound mail
-  // from the previous window's buffers, in (source, FIFO) order.
+  // Destination worker schedules its own inbound mail from the previous
+  // window's buffers, in (source, FIFO) order.
   void drain_inbox(int dst);
-  // Matrix protocol: account + report drains performed during the window
-  // that just ended (single-threaded, (destination, source) order).
+  // Account + report drains performed during the window that just ended
+  // (single-threaded, (destination, source) order).
   void report_drains();
-  void plan_global(SimTime until);
-  void plan_matrix(SimTime until);
+  // Plan the next window (the barrier completion step): per-shard ends
+  // into window_end_, or done_ when nothing is left at or before `until`.
+  void plan(SimTime until);
   std::uint64_t run_windows(SimTime until);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::vector<Mailbox> mail_;  // [src * n + dst]
   std::vector<ShardStats> shard_stats_;
-  SyncMode sync_mode_;
   SimTime lookahead_ = SimTime::max();
   int cut_links_ = 0;
   // Per-pair cut delays as registered (row-major, max() = no direct cut)
@@ -285,7 +255,7 @@ class ShardedEngine {
 
   // Window-loop shared state; written by the barrier completion step only,
   // read by workers after the barrier (the phase transition orders both).
-  std::vector<SimTime> window_end_;  // [dst]; uniform in global mode
+  std::vector<SimTime> window_end_;  // [dst]
   std::vector<SimTime> eit_;         // plan scratch, avoids reallocation
   int write_buf_ = 0;                // mailbox buffer the sources fill
   bool done_ = false;

@@ -1,4 +1,5 @@
-// The discrete-event simulator: a clock plus an event queue.
+// The discrete-event simulator: a clock plus an event queue (the
+// calendar-queue timing wheel, sim/calendar_queue.hpp).
 //
 // Every component in the system (links, queues, TCP agents, applications)
 // holds a Simulator* and schedules callbacks on it. One Simulator instance
@@ -9,7 +10,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/time.hpp"
 
 namespace trim::obs {
@@ -24,18 +25,13 @@ namespace trim::sim {
 
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
+  using Callback = CalendarQueue::Callback;
 
-  // The default constructor picks the scheduler backend from
-  // TRIM_SCHEDULER; the explicit overload pins one (A/B tests run a heap
-  // world and a wheel world side by side in one process).
   Simulator() = default;
-  explicit Simulator(SchedulerKind scheduler) : queue_{scheduler} {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  SchedulerKind scheduler_kind() const { return queue_.kind(); }
 
   // Schedule `cb` to run `delay` after now. Negative delays are clamped to
   // zero (run "immediately", after already-pending events at `now`).
@@ -80,7 +76,7 @@ class Simulator {
   std::uint64_t run_wall_ns() const { return run_wall_ns_; }
 
  private:
-  EventQueue queue_;
+  CalendarQueue queue_;
   SimTime now_;
   std::uint64_t dispatched_ = 0;
   obs::Telemetry* telemetry_ = nullptr;

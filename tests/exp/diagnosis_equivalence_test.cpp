@@ -1,10 +1,9 @@
-// Lockstep equivalence for the diagnosis layer: one storm config run
-// across {heap, wheel} scheduler backends x {1, 4} shards must produce
-// identical diagnosed episodes, identical span statistics (digest
-// included), and identical event counts for every non-shard event kind.
-// This is the observability counterpart of scheduler_equivalence_test:
-// the *simulation* being byte-identical is already covered there; here
-// we pin down that the telemetry derived from it is too.
+// Lockstep equivalence for the diagnosis layer: one storm config run at
+// 1 and 4 shards must produce identical diagnosed episodes, identical span
+// statistics (digest included), and identical event counts for every
+// non-shard event kind. The *simulation* being identical across engines
+// is covered by scheduler_equivalence_test and shard_equivalence_test;
+// here we pin down that the telemetry derived from it is too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,15 +22,12 @@ namespace {
 
 struct Combo {
   const char* label;
-  sim::SchedulerKind scheduler;
   int shards;
 };
 
 constexpr Combo kCombos[] = {
-    {"heap x 1", sim::SchedulerKind::kHeap, 1},
-    {"heap x 4", sim::SchedulerKind::kHeap, 4},
-    {"wheel x 1", sim::SchedulerKind::kWheel, 1},
-    {"wheel x 4", sim::SchedulerKind::kWheel, 4},
+    {"1 shard", 1},
+    {"4 shards", 4},
 };
 
 // An RST-policy backlog storm: hot enough to saturate the tiny backlog
@@ -85,7 +81,6 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
   std::vector<obs::TelemetrySnapshot> snaps;
   for (const Combo& combo : kCombos) {
     ConnectionStormConfig cfg = base;
-    cfg.scheduler = combo.scheduler;
     cfg.shards = combo.shards;
     const auto r = run_connection_storm(cfg);
     EXPECT_EQ(r.stuck_connections, 0u) << combo.label;
@@ -141,7 +136,6 @@ TEST(DiagnosisEquivalence, EpisodesSpansAndCountsMatchAcrossEngines) {
 TEST(DiagnosisEquivalence, DetectorsOffLeavesResultsIdentical) {
   // TRIM_DETECTORS=0 must not change the simulation, only the episodes.
   ConnectionStormConfig cfg = storm_config();
-  cfg.scheduler = sim::SchedulerKind::kHeap;
   cfg.shards = 1;
 
   setenv("TRIM_DETECTORS", "1", 1);

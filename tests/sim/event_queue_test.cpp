@@ -1,3 +1,6 @@
+// Contract suite for the scheduler: every test runs against the calendar
+// wheel the simulator uses and against the reference 4-ary heap
+// (reference_heap.hpp). The two must be observably interchangeable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -6,23 +9,67 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
+#include "sim/reference_heap.hpp"
 
 namespace trim::sim {
 namespace {
 
-// Every contract test runs against both scheduler backends: the 4-ary heap
-// and the calendar-queue wheel must be observably interchangeable.
-class EventQueueTest : public ::testing::TestWithParam<SchedulerKind> {
+enum class Backend : std::uint8_t { kHeap, kWheel };
+
+// One queue of either backend behind the common contract. An Id carries a
+// handle for each backend; only the live backend's half is ever set.
+class Queue {
+ public:
+  struct Id {
+    ReferenceHeap::Id heap;
+    EventId wheel;
+  };
+
+  explicit Queue(Backend backend) : backend_{backend} {}
+
+  Id push(SimTime at, InlineCallback cb) {
+    if (backend_ == Backend::kHeap) return {heap_.push(at, std::move(cb)), {}};
+    return {{}, wheel_.push(at, std::move(cb))};
+  }
+  void cancel(Id id) {
+    backend_ == Backend::kHeap ? heap_.cancel(id.heap) : wheel_.cancel(id.wheel);
+  }
+  bool is_pending(Id id) const {
+    return backend_ == Backend::kHeap ? heap_.is_pending(id.heap)
+                                      : wheel_.is_pending(id.wheel);
+  }
+  bool empty() const {
+    return backend_ == Backend::kHeap ? heap_.empty() : wheel_.empty();
+  }
+  std::size_t size() const {
+    return backend_ == Backend::kHeap ? heap_.size() : wheel_.size();
+  }
+  SimTime next_time() const {
+    return backend_ == Backend::kHeap ? heap_.next_time() : wheel_.next_time();
+  }
+  PoppedEvent pop() {
+    return backend_ == Backend::kHeap ? heap_.pop() : wheel_.pop();
+  }
+  void clear() { backend_ == Backend::kHeap ? heap_.clear() : wheel_.clear(); }
+
+ private:
+  Backend backend_;
+  ReferenceHeap heap_;
+  CalendarQueue wheel_;
+};
+
+class EventQueueTest : public ::testing::TestWithParam<Backend> {
  protected:
-  EventQueue q{GetParam()};
+  Queue q{GetParam()};
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventQueueTest,
-                         ::testing::Values(SchedulerKind::kHeap,
-                                           SchedulerKind::kWheel),
+                         ::testing::Values(Backend::kHeap, Backend::kWheel),
                          [](const auto& info) {
-                           return std::string{to_string(info.param)};
+                           return std::string{info.param == Backend::kHeap
+                                                  ? "heap"
+                                                  : "wheel"};
                          });
 
 TEST_P(EventQueueTest, PopsInTimeOrder) {
@@ -71,7 +118,7 @@ TEST_P(EventQueueTest, CancelIsIdempotentAndInvalidIdIsIgnored) {
   const auto id = q.push(SimTime::micros(1), [] {});
   q.cancel(id);
   q.cancel(id);
-  q.cancel(EventId{});  // invalid
+  q.cancel(Queue::Id{});  // invalid
   EXPECT_TRUE(q.empty());
 }
 
@@ -128,7 +175,7 @@ TEST_P(EventQueueTest, StaleIdDoesNotCancelRecycledSlot) {
 }
 
 TEST_P(EventQueueTest, IsPendingTracksLifecycle) {
-  EXPECT_FALSE(q.is_pending(EventId{}));
+  EXPECT_FALSE(q.is_pending(Queue::Id{}));
   const auto a = q.push(SimTime::micros(1), [] {});
   const auto b = q.push(SimTime::micros(2), [] {});
   EXPECT_TRUE(q.is_pending(a));
@@ -141,7 +188,7 @@ TEST_P(EventQueueTest, IsPendingTracksLifecycle) {
 
 TEST_P(EventQueueTest, CancelInteriorEntryKeepsDispatchOrder) {
   std::vector<int> order;
-  std::vector<EventId> ids;
+  std::vector<Queue::Id> ids;
   for (int i = 0; i < 64; ++i) {
     ids.push_back(q.push(SimTime::micros(i), [&order, i] { order.push_back(i); }));
   }
@@ -172,7 +219,7 @@ TEST_P(EventQueueTest, PushAtCurrentTimeFromCallbackRunsInSequence) {
 }
 
 TEST_P(EventQueueTest, RandomizedCancelStressMatchesReferenceModel) {
-  std::vector<std::pair<std::int64_t, EventId>> live;  // (time, id)
+  std::vector<std::pair<std::int64_t, Queue::Id>> live;  // (time, id)
   std::uint64_t x = 987654321;
   auto rnd = [&x] {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
@@ -232,13 +279,6 @@ TEST_P(EventQueueTest, WideTimeRangeStillPopsInOrder) {
     EXPECT_EQ(q.pop().at, SimTime::nanos(at));
   }
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueFacade, DefaultKindComesFromEnvironment) {
-  // The suite runs with TRIM_SCHEDULER unset or set by the CI matrix; either
-  // way the default-constructed facade must agree with the resolver.
-  EventQueue q;
-  EXPECT_EQ(q.kind(), scheduler_kind_from_env());
 }
 
 }  // namespace

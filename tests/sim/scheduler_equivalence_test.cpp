@@ -1,17 +1,18 @@
-// Property test: the heap and calendar-queue scheduler backends are
-// observably identical. Each case drives the same deterministic workload
-// through both backends side by side and asserts the dispatch sequences —
-// (time, which-event) pairs, not just times — match exactly. This is the
-// guarantee the figure reproductions lean on when TRIM_SCHEDULER flips:
-// same-time ties, cancellations (pending, fired, and recycled-slot stale),
-// mid-callback scheduling, and run_until boundaries all behave the same.
+// Property test: the calendar-queue wheel the simulator runs on dispatches
+// exactly like the reference 4-ary heap (reference_heap.hpp). Each case
+// drives the same deterministic workload through both side by side and
+// asserts the dispatch sequences — (time, which-event) pairs, not just
+// times — match exactly: same-time ties, cancellations (pending, fired,
+// and recycled-slot stale), mid-callback scheduling, run_until
+// boundaries, and a fig. 8-scale pending set all behave the same.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
+#include "sim/reference_heap.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::sim {
@@ -30,7 +31,7 @@ class Lcg {
   std::uint64_t x_;
 };
 
-// One scripted operation, applied to both backends in lockstep.
+// One scripted operation, applied to both queues in lockstep.
 struct Op {
   enum Kind { kPush, kCancel, kPop } kind;
   std::int64_t at = 0;    // kPush: absolute nanoseconds
@@ -40,7 +41,7 @@ struct Op {
 // Generate a schedule/cancel/pop script. Times are drawn from a small
 // window so same-time collisions are common (the tie-break is the point),
 // and cancel targets deliberately include already-fired and already-
-// cancelled ids (stale handles must be no-ops on both backends).
+// cancelled ids (stale handles must be no-ops on both queues).
 std::vector<Op> make_script(std::uint64_t seed, int rounds) {
   Lcg rnd{seed};
   std::vector<Op> ops;
@@ -64,13 +65,13 @@ std::vector<Op> make_script(std::uint64_t seed, int rounds) {
   return ops;
 }
 
-// Replay `ops` against a fresh queue of `kind`; events are identified by
-// their push ordinal so the trace captures *which* event fired, not just
-// when. Returns the dispatch trace plus the surviving (drained) tail.
-std::vector<std::pair<std::int64_t, std::size_t>> replay(SchedulerKind kind,
-                                                         const std::vector<Op>& ops) {
-  EventQueue q{kind};
-  std::vector<EventId> ids;
+// Replay `ops` against a fresh `Queue`; events are identified by their
+// push ordinal so the trace captures *which* event fired, not just when.
+// Returns the dispatch trace plus the surviving (drained) tail.
+template <typename Queue>
+std::vector<std::pair<std::int64_t, std::size_t>> replay(const std::vector<Op>& ops) {
+  Queue q;
+  std::vector<decltype(q.push(SimTime{}, InlineCallback{}))> ids;
   std::vector<std::pair<std::int64_t, std::size_t>> trace;
   std::size_t next_ordinal = 0;
   for (const Op& op : ops) {
@@ -106,8 +107,8 @@ std::vector<std::pair<std::int64_t, std::size_t>> replay(SchedulerKind kind,
 TEST(SchedulerEquivalence, RandomScriptsDispatchIdentically) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const auto ops = make_script(seed * 0x9e3779b97f4a7c15ull, 4000);
-    const auto heap_trace = replay(SchedulerKind::kHeap, ops);
-    const auto wheel_trace = replay(SchedulerKind::kWheel, ops);
+    const auto heap_trace = replay<ReferenceHeap>(ops);
+    const auto wheel_trace = replay<CalendarQueue>(ops);
     ASSERT_EQ(heap_trace, wheel_trace) << "seed " << seed;
   }
 }
@@ -128,19 +129,92 @@ TEST(SchedulerEquivalence, DenseTieStormDispatchesIdentically) {
       ops.push_back({Op::kCancel, 0, rnd.next() % pushed});
     }
   }
-  EXPECT_EQ(replay(SchedulerKind::kHeap, ops),
-            replay(SchedulerKind::kWheel, ops));
+  EXPECT_EQ(replay<ReferenceHeap>(ops), replay<CalendarQueue>(ops));
 }
 
-// Full-simulator property: two worlds, one per backend, run the same
-// self-scheduling workload (events reschedule themselves, cancel timers,
-// and schedule at the current time) and must tick through identical
-// (now, ordinal) histories — including across run_until boundaries, where
-// events exactly at the boundary run and later ones hold.
+// The fig. 8 event mix at paper scale: `flows` senders each keep a window
+// of 20 in-flight packet events plus one RTO timer, so ~88k events stay
+// pending at 4200 flows — a pending set no other test reaches. Every
+// dispatched event is replaced by one an RTT out (ACK clocking) and
+// re-arms a pseudo-random flow's RTO (cancel + push, the per-ACK timer
+// pattern; the cancelled id may already have fired). Returns an FNV
+// checksum over the (time, push ordinal) dispatch sequence.
+template <typename Queue>
+std::uint64_t fig08_mix_checksum(int flows, std::uint64_t pops) {
+  constexpr int kWindow = 20;
+  Queue q;
+  Lcg rnd{0x2545F4914F6CDD1Dull ^ static_cast<std::uint64_t>(flows)};
+  std::uint64_t fired = 0;  // ordinal of the event that just ran
+  std::uint64_t ordinal = 0;
+  auto push = [&](std::int64_t at) {
+    return q.push(SimTime::nanos(at), [&fired, o = ordinal++] { fired = o; });
+  };
+  std::vector<decltype(push(0))> rto(static_cast<std::size_t>(flows));
+  for (auto& timer : rto) {
+    for (int w = 0; w < kWindow; ++w) {
+      push(static_cast<std::int64_t>(1000 + rnd.next() % 100000));
+    }
+    timer = push(static_cast<std::int64_t>(10'000'000 + rnd.next() % 1'000'000));
+  }
+  std::uint64_t checksum = 1469598103934665603ull;  // FNV offset basis
+  for (std::uint64_t done = 0; done < pops; ++done) {
+    auto ev = q.pop();
+    ev.cb();
+    const std::int64_t now = ev.at.ns();
+    checksum = (checksum ^ static_cast<std::uint64_t>(now)) * 1099511628211ull;
+    checksum = (checksum ^ fired) * 1099511628211ull;
+    const std::uint64_t r = rnd.next();
+    push(now + 100'000 + static_cast<std::int64_t>(r & 0xffff));
+    auto& timer = rto[static_cast<std::size_t>(r >> 16) % rto.size()];
+    q.cancel(timer);
+    timer = push(now + 10'000'000 + static_cast<std::int64_t>(r >> 47));
+  }
+  return checksum;
+}
+
+TEST(SchedulerEquivalence, Fig08EventMixAtPaperScaleDispatchesIdentically) {
+  constexpr int kFlows = 4200;
+  constexpr std::uint64_t kPops = 200'000;
+  EXPECT_EQ(fig08_mix_checksum<ReferenceHeap>(kFlows, kPops),
+            fig08_mix_checksum<CalendarQueue>(kFlows, kPops));
+}
+
+// A minimal simulator over the reference heap: the same clock and
+// run_until semantics as sim::Simulator (events exactly at `until` run,
+// the clock then advances to `until`).
+class ReferenceSimulator {
+ public:
+  SimTime now() const { return now_; }
+  ReferenceHeap::Id schedule(SimTime delay, InlineCallback cb) {
+    return queue_.push(now_ + delay, std::move(cb));
+  }
+  void cancel(ReferenceHeap::Id id) { queue_.cancel(id); }
+  std::uint64_t run_until(SimTime until) {
+    std::uint64_t n = 0;
+    while (!queue_.empty() && queue_.next_time() <= until) {
+      auto [at, cb] = queue_.pop();
+      now_ = at;
+      cb();
+      ++n;
+    }
+    if (now_ < until) now_ = until;
+    return n;
+  }
+
+ private:
+  ReferenceHeap queue_;
+  SimTime now_;
+};
+
+// Full-simulator property: the Simulator and the reference simulator run
+// the same self-scheduling workload (events reschedule themselves, cancel
+// timers, and schedule at the current time) and must tick through
+// identical (now, ordinal) histories — including across run_until
+// boundaries, where events exactly at the boundary run and later ones
+// hold.
+template <typename Sim>
 class TickWorld {
  public:
-  explicit TickWorld(SchedulerKind kind) : sim_{kind} {}
-
   void start() {
     // Three interleaved periodic chains with colliding periods plus an
     // RTO-style timer that is forever cancelled and re-armed.
@@ -180,14 +254,14 @@ class TickWorld {
     });
   }
 
-  Simulator sim_;
-  EventId rto_;
+  Sim sim_;
+  decltype(sim_.schedule(SimTime{}, InlineCallback{})) rto_;
   std::vector<std::pair<std::int64_t, int>> history_;
 };
 
 TEST(SchedulerEquivalence, SimulatorWorldsTickIdentically) {
-  TickWorld heap_world{SchedulerKind::kHeap};
-  TickWorld wheel_world{SchedulerKind::kWheel};
+  TickWorld<ReferenceSimulator> heap_world;
+  TickWorld<Simulator> wheel_world;
   heap_world.start();
   wheel_world.start();
   // Advance both worlds in uneven slices; boundary events (run_until is

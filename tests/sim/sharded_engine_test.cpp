@@ -188,16 +188,7 @@ TEST(ShardedEngine, ShardsFromEnvIsClamped) {
   EXPECT_LE(n, 256);
 }
 
-// ---- matrix sync protocol ----
-
-TEST(ShardedEngine, SyncModeKnobParsesAndDefaults) {
-  EXPECT_STREQ(to_string(SyncMode::kGlobal), "global");
-  EXPECT_STREQ(to_string(SyncMode::kMatrix), "matrix");
-  ShardedEngine dflt{2};
-  EXPECT_EQ(dflt.sync_mode(), sync_mode_from_env());
-  ShardedEngine pinned{2, scheduler_kind_from_env(), SyncMode::kGlobal};
-  EXPECT_EQ(pinned.sync_mode(), SyncMode::kGlobal);
-}
+// ---- lookahead matrix and eager delivery ----
 
 TEST(ShardedEngine, BadCutLinkPairsRejected) {
   ShardedEngine engine{2};
@@ -227,7 +218,7 @@ TEST(ShardedEngine, LookaheadMatrixClosesOverRelays) {
   EXPECT_EQ(engine.lookahead_between(0, 0), SimTime::micros(20));
   EXPECT_EQ(engine.lookahead_between(1, 1), SimTime::micros(20));
   EXPECT_EQ(engine.lookahead_between(2, 2), SimTime::max());
-  // The global lookahead keeps its min-over-all-cuts meaning.
+  // lookahead() stays the minimum over all cut delays.
   EXPECT_EQ(engine.lookahead(), SimTime::micros(10));
 }
 
@@ -236,7 +227,7 @@ TEST(ShardedEngine, MatrixRelayThroughIdleShardPreservesCausality) {
   // will reach shard 2 only via shard 1, which is idle at planning time.
   // Without the closed L[0][2] bound shard 2 would run past the relayed
   // arrival and dispatch it behind its own clock.
-  ShardedEngine engine{3, scheduler_kind_from_env(), SyncMode::kMatrix};
+  ShardedEngine engine{3};
   engine.note_cut_link(0, 1, SimTime::micros(10));
   engine.note_cut_link(1, 0, SimTime::micros(10));
   engine.note_cut_link(1, 2, SimTime::micros(15));
@@ -266,70 +257,54 @@ TEST(ShardedEngine, MatrixRelayThroughIdleShardPreservesCausality) {
   EXPECT_EQ(shard2_log[2], SimTime::micros(30));
 }
 
-TEST(ShardedEngine, MatrixMatchesGlobalOnDistinctTimestamps) {
-  // The WindowedRunIsDeterministic mesh has no same-timestamp collisions
-  // on any one shard, so both sync protocols must produce *identical*
-  // arrival logs — the unit-level version of the shard_equivalence
-  // FlowSig oracle.
-  auto run_once = [](SyncMode mode) {
-    ShardedEngine engine{4, scheduler_kind_from_env(), mode};
-    for (int s = 0; s < 4; ++s) {
-      engine.note_cut_link(s, (s + 1) % 4, SimTime::micros(20));
-    }
-    std::vector<std::vector<int>> arrived(4);
-    for (int s = 0; s < 4; ++s) {
-      for (int k = 1; k <= 8; ++k) {
-        engine.shard(s).schedule_at(SimTime::micros(3 * k), [&engine, &arrived, s, k] {
-          const int to = (s + 1) % 4;
-          engine.post(s, to,
-                      engine.shard(s).now() + SimTime::micros(20),
-                      [&arrived, to, s, k] { arrived[to].push_back(s * 100 + k); });
-        });
-      }
-    }
-    engine.run();
-    std::vector<int> order;
-    for (const auto& log : arrived) order.insert(order.end(), log.begin(), log.end());
-    return order;
-  };
-  const auto matrix_a = run_once(SyncMode::kMatrix);
-  const auto matrix_b = run_once(SyncMode::kMatrix);
-  const auto global = run_once(SyncMode::kGlobal);
-  ASSERT_EQ(matrix_a.size(), 32u);
-  EXPECT_EQ(matrix_a, matrix_b);
-  EXPECT_EQ(matrix_a, global);
+TEST(ShardedEngine, IdleShardSkipsWindowsAndNeedsFewerOfThem) {
+  // Shard 0 streams local events while shard 1 never has work. The
+  // lookahead matrix sees no path back into shard 0 (one-directional cut),
+  // lets it run to the horizon in a single window, and fast-paths shard 1
+  // through it — where pacing the whole fleet at the 10 us cut delay
+  // would take 20 windows.
+  ShardedEngine engine{2};
+  engine.note_cut_link(0, 1, SimTime::micros(10));
+  int fired = 0;
+  for (int k = 1; k <= 10; ++k) {
+    engine.shard(0).schedule_at(SimTime::micros(10 * k), [&fired] { ++fired; });
+  }
+  engine.run_until(SimTime::micros(200));
+
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(engine.windows_run(), 1u);
+  EXPECT_EQ(engine.shard_stats(1).windows_skipped, 1u);
+  EXPECT_EQ(engine.shard_stats(1).window_events, 0u);
+  // Clock clamp semantics hold for the skipped shard too.
+  EXPECT_EQ(engine.shard(1).now(), SimTime::micros(200));
 }
 
-TEST(ShardedEngine, IdleShardSkipsWindowsAndNeedsFewerOfThem) {
-  // Shard 0 streams local events while shard 1 never has work. The matrix
-  // protocol sees no path back into shard 0 (one-directional cut), lets
-  // it run to the horizon in a single window, and fast-paths shard 1
-  // through it; the global protocol paces the whole fleet at the 10 us
-  // cut lookahead.
-  ShardedEngine matrix{2, scheduler_kind_from_env(), SyncMode::kMatrix};
-  matrix.note_cut_link(0, 1, SimTime::micros(10));
-  int fired_m = 0;
-  for (int k = 1; k <= 10; ++k) {
-    matrix.shard(0).schedule_at(SimTime::micros(10 * k), [&fired_m] { ++fired_m; });
-  }
-  matrix.run_until(SimTime::micros(200));
+TEST(ShardedEngine, MailStraddlingRunUntilCallsArrivesOnTime) {
+  // A post made in the last window of one run_until call is due after
+  // that call's horizon. The next call must drain it in its first window
+  // — before shard 1 dispatches its own later event — not one window
+  // late with a clamped timestamp.
+  ShardedEngine engine{2};
+  engine.note_cut_link(0, 1, SimTime::micros(10));
+  engine.note_cut_link(1, 0, SimTime::micros(10));
+  std::vector<SimTime> shard1_log;  // written only by shard 1's worker
+  engine.shard(0).schedule_at(SimTime::micros(5), [&engine, &shard1_log] {
+    engine.post(0, 1, engine.shard(0).now() + SimTime::micros(10),
+                [&engine, &shard1_log] {
+                  shard1_log.push_back(engine.shard(1).now());
+                });
+  });
+  engine.shard(1).schedule_at(SimTime::micros(20), [&engine, &shard1_log] {
+    shard1_log.push_back(engine.shard(1).now());
+  });
 
-  ShardedEngine global{2, scheduler_kind_from_env(), SyncMode::kGlobal};
-  global.note_cut_link(0, 1, SimTime::micros(10));
-  int fired_g = 0;
-  for (int k = 1; k <= 10; ++k) {
-    global.shard(0).schedule_at(SimTime::micros(10 * k), [&fired_g] { ++fired_g; });
-  }
-  global.run_until(SimTime::micros(200));
+  engine.run_until(SimTime::micros(10));
+  EXPECT_TRUE(shard1_log.empty());
+  engine.run_until(SimTime::micros(30));
 
-  EXPECT_EQ(fired_m, 10);
-  EXPECT_EQ(fired_g, 10);
-  EXPECT_EQ(matrix.windows_run(), 1u);
-  EXPECT_EQ(matrix.shard_stats(1).windows_skipped, 1u);
-  EXPECT_EQ(matrix.shard_stats(1).window_events, 0u);
-  EXPECT_GT(global.windows_run(), matrix.windows_run());
-  // Clock clamp semantics hold for the skipped shard too.
-  EXPECT_EQ(matrix.shard(1).now(), SimTime::micros(200));
+  ASSERT_EQ(shard1_log.size(), 2u);
+  EXPECT_EQ(shard1_log[0], SimTime::micros(15));
+  EXPECT_EQ(shard1_log[1], SimTime::micros(20));
 }
 
 TEST(ShardedEngine, EagerInboxStressAllPairs) {
@@ -337,7 +312,7 @@ TEST(ShardedEngine, EagerInboxStressAllPairs) {
   // other shard from inside its window, across many windows, so source
   // pushes and destination drains continuously hit the double-buffered
   // mailboxes from different threads.
-  ShardedEngine engine{4, scheduler_kind_from_env(), SyncMode::kMatrix};
+  ShardedEngine engine{4};
   for (int s = 0; s < 4; ++s) {
     for (int d = 0; d < 4; ++d) {
       if (s != d) engine.note_cut_link(s, d, SimTime::micros(10));

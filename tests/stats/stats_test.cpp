@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/cdf.hpp"
-#include "stats/histogram.hpp"
 #include "stats/rate_meter.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -132,35 +131,6 @@ TEST(RateMeter, RejectsBadInput) {
   EXPECT_THROW(meter.add(SimTime::zero() - SimTime::millis(1), 10), std::invalid_argument);
   EXPECT_THROW(meter.mean_mbps(SimTime::millis(5), SimTime::millis(5)),
                std::invalid_argument);
-}
-
-// ---------- Histogram ----------
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(25.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Histogram, FractionLeq) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.fraction_leq(5.0), 0.5, 0.01);
-  EXPECT_NEAR(h.fraction_leq(10.0), 1.0, 1e-9);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-  EXPECT_THROW((Histogram{5.0, 1.0, 4}), std::invalid_argument);
 }
 
 // ---------- Cdf ----------
