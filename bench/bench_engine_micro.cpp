@@ -39,6 +39,15 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
+// Dispatch every pending event the way Simulator::run_until does: claim,
+// run in place, retire.
+void drain(sim::CalendarQueue& q) {
+  while (const auto ev = q.take_until(sim::SimTime::max())) {
+    (*ev.cb)();
+    q.retire(ev);
+  }
+}
+
 void BM_EventQueuePushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -46,7 +55,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int i = 0; i < n; ++i) {
       q.push(sim::SimTime::nanos((i * 7919) % 100000), [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    drain(q);
   }
   state.SetItemsProcessed(state.iterations() * n * 2);
 }
@@ -75,7 +84,7 @@ void BM_EventCancellation(benchmark::State& state) {
       ids.push_back(q.push(sim::SimTime::nanos(i), [] {}));
     }
     for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    drain(q);
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
@@ -106,7 +115,7 @@ BENCHMARK(BM_RtoReschedule)->Arg(100)->Arg(10000);
 
 // Steady-state allocation count of the schedule/dispatch cycle: a churning
 // queue with Packet-sized captures must stop allocating once its pools are
-// warm. Reported as allocations per push+pop pair (expected: 0).
+// warm. Reported as allocations per push+dispatch cycle (expected: 0).
 void BM_EventPathAllocations(benchmark::State& state) {
   struct FakePacketCapture {  // same footprint as the link pipeline's capture
     unsigned char bytes[56];
@@ -115,15 +124,22 @@ void BM_EventPathAllocations(benchmark::State& state) {
   sim::CalendarQueue q;
   FakePacketCapture cap{};
   std::int64_t t = 0;
+  auto cycle = [&] {
+    q.push(sim::SimTime::nanos(++t), [cap] { benchmark::DoNotOptimize(&cap); });
+    const auto ev = q.take_until(sim::SimTime::max());
+    (*ev.cb)();
+    q.retire(ev);
+  };
   for (int i = 0; i < 64; ++i) {  // warm the slot pool and bucket vectors
     q.push(sim::SimTime::nanos(++t), [cap] { benchmark::DoNotOptimize(&cap); });
   }
+  // Every level-0 bucket takes its vector on first use: cycle the wheel
+  // through four level-0 windows before counting.
+  for (int i = 0; i < 1024; ++i) cycle();
   std::uint64_t ops = 0;
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    q.push(sim::SimTime::nanos(++t), [cap] { benchmark::DoNotOptimize(&cap); });
-    auto popped = q.pop();
-    popped.cb();
+    cycle();
     ++ops;
   }
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
@@ -135,10 +151,13 @@ void BM_EventPathAllocations(benchmark::State& state) {
 BENCHMARK(BM_EventPathAllocations);
 
 // Full-stack cost: an N-to-1 incast of 1 MB flows; reports simulated
-// packets per wall second.
+// packets per wall second, plus the scheduler's bucket inserts per pushed
+// event and ready-run refills per dispatched event.
 void BM_IncastEndToEnd(benchmark::State& state) {
   const int servers = static_cast<int>(state.range(0));
   std::uint64_t packets = 0;
+  sim::CalendarQueue::Stats sched;
+  std::uint64_t dispatched = 0;
   for (auto _ : state) {
     exp::World world;
     topo::ManyToOneConfig cfg;
@@ -155,7 +174,18 @@ void BM_IncastEndToEnd(benchmark::State& state) {
     }
     world.simulator.run_until(sim::SimTime::seconds(10));
     for (auto& f : flows) packets += f.sender->stats().data_packets_sent;
+    const auto run = world.simulator.scheduler_stats();
+    sched.pushes += run.pushes;
+    sched.bucket_inserts += run.bucket_inserts;
+    sched.refills += run.refills;
+    dispatched += world.simulator.events_dispatched();
   }
+  state.counters["bucket_inserts_per_event"] = benchmark::Counter(
+      static_cast<double>(sched.bucket_inserts) /
+      static_cast<double>(sched.pushes == 0 ? 1 : sched.pushes));
+  state.counters["refills_per_event"] = benchmark::Counter(
+      static_cast<double>(sched.refills) /
+      static_cast<double>(dispatched == 0 ? 1 : dispatched));
   state.SetItemsProcessed(static_cast<int64_t>(packets) * 2);  // data + acks
   state.SetLabel("simulated packets (data+ack)");
 }

@@ -21,12 +21,10 @@ constexpr std::uint32_t level_of(std::int64_t at, std::int64_t cur) {
 
 }  // namespace
 
-EventId CalendarQueue::push(SimTime at_time, Callback cb) {
+EventId CalendarQueue::enqueue(std::uint32_t idx, SimTime at) {
   if (buckets_.empty()) buckets_.resize(kBucketCount);
-  const std::uint32_t idx = acquire_node();
-  cbs_[idx] = std::move(cb);
   Node& n = nodes_[idx];
-  n.at = at_time.ns();
+  n.at = at.ns();
   n.seq = next_seq_++;
   if (n.at <= cur_) {
     ready_insert(idx);
@@ -45,7 +43,7 @@ void CalendarQueue::cancel(EventId id) {
   if (n.gen != id.gen_ || n.where == kWhereFree) return;
   if (n.where != kWhereReady) bucket_remove(id.slot_);
   // A ready-run entry stays behind as a tombstone; the bumped generation
-  // makes pop() skip it.
+  // makes dispatch skip it.
   release_node(id.slot_);
   --live_;
 }
@@ -64,14 +62,18 @@ SimTime CalendarQueue::next_time() const {
   return SimTime::nanos(ready_[ready_pos_].at);
 }
 
-CalendarQueue::Popped CalendarQueue::pop() {
+CalendarQueue::Taken CalendarQueue::take_until(SimTime until) {
   settle();
-  assert(live_ != 0);
+  if (live_ == 0 || ready_[ready_pos_].at > until.ns()) return {};
   const ReadyEntry e = ready_[ready_pos_++];
-  Popped out{SimTime::nanos(e.at), std::move(cbs_[e.slot])};
-  release_node(e.slot);
+  Node& n = nodes_[e.slot];
+  // Stale the id before the callback runs (a self-cancel is a no-op), but
+  // keep the slot off the free list until retire(): the callback runs in
+  // place and must not be overwritten by an event it schedules.
+  ++n.gen;
+  n.where = kWhereFree;
   --live_;
-  return out;
+  return Taken{SimTime::nanos(e.at), &callback(e.slot), e.slot};
 }
 
 void CalendarQueue::clear() {
@@ -86,23 +88,22 @@ void CalendarQueue::clear() {
   cur_ = 0;
   next_seq_ = 1;
   live_ = 0;
+  bucket_inserts_ = 0;
+  refills_ = 0;
 }
 
-std::uint32_t CalendarQueue::acquire_node() {
-  if (free_head_ != kNil) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = nodes_[idx].free_next;
-    return idx;
-  }
+std::uint32_t CalendarQueue::grow_nodes() {
   const auto idx = static_cast<std::uint32_t>(nodes_.size());
   nodes_.emplace_back();
-  cbs_.emplace_back();
+  if (idx % kCallbackChunk == 0) {
+    cb_chunks_.push_back(std::make_unique<Callback[]>(kCallbackChunk));
+  }
   return idx;
 }
 
 void CalendarQueue::release_node(std::uint32_t idx) {
   Node& n = nodes_[idx];
-  cbs_[idx].reset();
+  callback(idx).reset();
   ++n.gen;
   n.where = kWhereFree;
   n.free_next = free_head_;
@@ -128,6 +129,7 @@ void CalendarQueue::bucket_insert(std::uint32_t bucket, std::uint32_t idx) {
   n.where = static_cast<std::uint16_t>(bucket);
   n.pos = static_cast<std::uint32_t>(vec.size());
   vec.push_back(BucketEntry{n.at, idx});
+  ++bucket_inserts_;
   const std::uint32_t slot = bucket & (kSlotsPerLevel - 1);
   occ_[bucket >> kLevelBits][slot >> 6] |= 1ull << (slot & 63);
   ++level_count_[bucket >> kLevelBits];
@@ -187,6 +189,7 @@ int CalendarQueue::find_occupied(int level, std::uint32_t from) const {
 }
 
 void CalendarQueue::refill_ready() {
+  ++refills_;
   for (;;) {
     // The whole level-0 bucket shares one timestamp inside the current
     // 256-tick window, so it becomes the ready run directly.
@@ -232,18 +235,20 @@ void CalendarQueue::refill_ready() {
       assert(slot >= 0);
       auto& vec = buckets_[static_cast<std::uint32_t>(level) * kSlotsPerLevel +
                            static_cast<std::uint32_t>(slot)];
-      // Sparse-wheel fast path: levels below are empty and later buckets
-      // hold later times, so a lone event here is the global minimum.
-      // Serve it directly instead of cascading it down level by level.
-      if (vec.size() == 1) {
-        const std::uint32_t only = vec.front().slot;
+      // Small-run path: levels below are empty and later buckets hold
+      // later times, so this bucket holds exactly the next vec.size()
+      // events. Insertion-sorted by (time, seq) they are the ready run;
+      // the wheel jumps to the run's last time, which keeps every other
+      // bucketed event at its level (the jump stays inside this bucket's
+      // window), and pushes up to that time merge into the run the same
+      // way.
+      if (vec.size() <= kSmallRun) {
+        assert(ready_.empty());
+        for (const BucketEntry& b : vec) ready_insert(b.slot);
+        bucket_consumed(level, slot, vec.size());
         vec.clear();
         spare_.push_back(std::move(vec));  // donate; see spare_'s comment
-        bucket_consumed(level, slot, 1);
-        Node& n = nodes_[only];
-        n.where = kWhereReady;
-        cur_ = n.at;
-        ready_.push_back(ReadyEntry{n.at, n.seq, only, n.gen});
+        cur_ = ready_.back().at;
         return;
       }
       // Jump to the bucket's base time: every lower digit resets to zero.

@@ -71,6 +71,19 @@ class InlineFunction<R(Args...)> {
                         std::forward<Args>(args)...);
   }
 
+  // Replace the target with `f`, constructed directly in this object's
+  // storage (no temporary InlineFunction, no relocation). The scheduler
+  // builds each event's callback in its slot this way.
+  template <typename F>
+  void assign(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      emplace(std::forward<F>(f));
+    }
+  }
+
   explicit operator bool() const { return ops_ != nullptr; }
 
   // True when the callable lives on the heap (oversized capture).

@@ -1,40 +1,41 @@
 #include "sim/simulator.hpp"
 
 #include <chrono>
-#include <utility>
 
 namespace trim::sim {
-
-EventId Simulator::schedule(SimTime delay, Callback cb) {
-  if (delay < SimTime::zero()) delay = SimTime::zero();
-  return queue_.push(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::schedule_at(SimTime at, Callback cb) {
-  if (at < now_) at = now_;
-  return queue_.push(at, std::move(cb));
-}
 
 std::uint64_t Simulator::run() { return run_until(SimTime::max()); }
 
 std::uint64_t Simulator::run_until(SimTime until) {
-  // Two clock reads per invocation (not per event): cheap enough to stay
-  // always-on, and the value only ever feeds profiling output.
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [at, cb] = queue_.pop();
-    now_ = at;
-    cb();
-    ++n;
+  // Commits the event count and wall time on every exit, a callback's
+  // throw included. Two clock reads per invocation (not per event): cheap
+  // enough to stay always-on, and the value only ever feeds profiling.
+  struct Ledger {
+    Simulator& sim;
+    std::chrono::steady_clock::time_point start;
+    std::uint64_t n = 0;
+    ~Ledger() {
+      sim.dispatched_ += n;
+      sim.run_wall_ns_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
+  } ledger{*this, std::chrono::steady_clock::now()};
+  // Retires the claimed slot once its callback returns or throws.
+  struct Retire {
+    CalendarQueue& queue;
+    const CalendarQueue::Taken& ev;
+    ~Retire() { queue.retire(ev); }
+  };
+  while (const CalendarQueue::Taken ev = queue_.take_until(until)) {
+    const Retire retire{queue_, ev};
+    now_ = ev.at;
+    ++ledger.n;
+    (*ev.cb)();
   }
   if (until != SimTime::max() && now_ < until) now_ = until;
-  dispatched_ += n;
-  run_wall_ns_ += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-  return n;
+  return ledger.n;
 }
 
 void Simulator::reset() {

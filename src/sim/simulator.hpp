@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/time.hpp"
@@ -25,23 +25,33 @@ namespace trim::sim {
 
 class Simulator {
  public:
-  using Callback = CalendarQueue::Callback;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
 
-  // Schedule `cb` to run `delay` after now. Negative delays are clamped to
-  // zero (run "immediately", after already-pending events at `now`).
-  EventId schedule(SimTime delay, Callback cb);
-  EventId schedule_at(SimTime at, Callback cb);
+  // Schedule `f` (a void() callable or a Callback) to run `delay` after
+  // now. Negative delays are clamped to zero (run "immediately", after
+  // already-pending events at `now`). The callable is constructed directly
+  // in the scheduler's slot.
+  template <typename F>
+  EventId schedule(SimTime delay, F&& f) {
+    if (delay < SimTime::zero()) delay = SimTime::zero();
+    return queue_.push(now_ + delay, std::forward<F>(f));
+  }
+  template <typename F>
+  EventId schedule_at(SimTime at, F&& f) {
+    if (at < now_) at = now_;
+    return queue_.push(at, std::forward<F>(f));
+  }
   void cancel(EventId id) { queue_.cancel(id); }
 
   // Run until the queue drains or `until` is reached (whichever is first).
   // Events scheduled exactly at `until` are executed. Returns the number of
-  // events dispatched.
+  // events dispatched. If a callback throws, the exception propagates; the
+  // events dispatched so far, the throwing one included, still count in
+  // events_dispatched() and run_wall_ns(), and the simulator stays usable.
   std::uint64_t run();
   std::uint64_t run_until(SimTime until);
 
@@ -50,6 +60,9 @@ class Simulator {
 
   std::uint64_t events_dispatched() const { return dispatched_; }
   std::size_t pending_events() const { return queue_.size(); }
+  // The scheduler's always-on work counters (pushes, bucket inserts,
+  // ready-run refills); reset() zeroes them.
+  CalendarQueue::Stats scheduler_stats() const { return queue_.stats(); }
 
   // Time of the earliest pending event, SimTime::max() when the queue is
   // empty. The sharded engine plans its conservative windows from this.

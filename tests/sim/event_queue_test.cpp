@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
+#include "sim/dispatch.hpp"
 #include "sim/reference_heap.hpp"
 
 namespace trim::sim {
@@ -48,8 +49,10 @@ class Queue {
   SimTime next_time() const {
     return backend_ == Backend::kHeap ? heap_.next_time() : wheel_.next_time();
   }
-  PoppedEvent pop() {
-    return backend_ == Backend::kHeap ? heap_.pop() : wheel_.pop();
+  // Run the next event's callback; returns its time.
+  SimTime dispatch() {
+    return backend_ == Backend::kHeap ? dispatch_next(heap_)
+                                      : dispatch_next(wheel_);
   }
   void clear() { backend_ == Backend::kHeap ? heap_.clear() : wheel_.clear(); }
 
@@ -77,7 +80,7 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   q.push(SimTime::micros(30), [&] { order.push_back(3); });
   q.push(SimTime::micros(10), [&] { order.push_back(1); });
   q.push(SimTime::micros(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -86,7 +89,7 @@ TEST_P(EventQueueTest, EqualTimesDispatchInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(SimTime::micros(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -95,7 +98,7 @@ TEST_P(EventQueueTest, CancelledEventsNeverFire) {
   const auto id = q.push(SimTime::micros(1), [&] { ++fired; });
   q.push(SimTime::micros(2), [&] { ++fired; });
   q.cancel(id);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   EXPECT_EQ(fired, 1);
 }
 
@@ -136,13 +139,13 @@ TEST_P(EventQueueTest, ClearThenReuseStartsFresh) {
   std::vector<int> order;
   q.push(SimTime::micros(2), [&] { order.push_back(2); });
   q.push(SimTime::micros(1), [&] { order.push_back(1); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST_P(EventQueueTest, PopReturnsTimestamp) {
   q.push(SimTime::micros(42), [] {});
-  EXPECT_EQ(q.pop().at, SimTime::micros(42));
+  EXPECT_EQ(q.dispatch(), SimTime::micros(42));
 }
 
 // Regression: cancelling an id whose event already fired used to insert a
@@ -152,11 +155,11 @@ TEST_P(EventQueueTest, PopReturnsTimestamp) {
 TEST_P(EventQueueTest, CancelAfterFireIsNoOpAndSizeStaysExact) {
   const auto fired = q.push(SimTime::micros(1), [] {});
   q.push(SimTime::micros(2), [] {});
-  q.pop().cb();          // `fired` has dispatched
+  q.dispatch();          // `fired` has dispatched
   q.cancel(fired);       // stale: must not affect anything
   EXPECT_EQ(q.size(), 1u);
   EXPECT_FALSE(q.empty());
-  q.pop();
+  q.dispatch();
   q.cancel(fired);       // still harmless on an empty queue
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
@@ -165,12 +168,12 @@ TEST_P(EventQueueTest, CancelAfterFireIsNoOpAndSizeStaysExact) {
 // A stale id must not cancel the new occupant of a recycled slot.
 TEST_P(EventQueueTest, StaleIdDoesNotCancelRecycledSlot) {
   const auto old_id = q.push(SimTime::micros(1), [] {});
-  q.pop();  // releases the slot; `old_id` is now stale
+  q.dispatch();  // releases the slot; `old_id` is now stale
   int fired = 0;
   q.push(SimTime::micros(2), [&] { ++fired; });  // reuses the slot
   q.cancel(old_id);
   ASSERT_EQ(q.size(), 1u);
-  q.pop().cb();
+  q.dispatch();
   EXPECT_EQ(fired, 1);
 }
 
@@ -182,7 +185,7 @@ TEST_P(EventQueueTest, IsPendingTracksLifecycle) {
   EXPECT_TRUE(q.is_pending(b));
   q.cancel(b);
   EXPECT_FALSE(q.is_pending(b));
-  q.pop();
+  q.dispatch();
   EXPECT_FALSE(q.is_pending(a));
 }
 
@@ -195,7 +198,7 @@ TEST_P(EventQueueTest, CancelInteriorEntryKeepsDispatchOrder) {
   for (int i = 1; i < 64; i += 3) q.cancel(ids[i]);
   EXPECT_EQ(q.size(), 64u - 21u);
   int prev = -1;
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   for (const int i : order) {
     EXPECT_GT(i, prev);
     EXPECT_NE(i % 3, 1);
@@ -214,7 +217,7 @@ TEST_P(EventQueueTest, PushAtCurrentTimeFromCallbackRunsInSequence) {
   });
   q.push(SimTime::micros(5), [&] { order.push_back(1); });
   q.push(SimTime::micros(6), [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.dispatch();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -243,7 +246,7 @@ TEST_P(EventQueueTest, RandomizedCancelStressMatchesReferenceModel) {
   // Everything left must drain in exactly the reference order.
   for (const auto at : expected) {
     ASSERT_FALSE(q.empty());
-    EXPECT_EQ(q.pop().at, SimTime::nanos(at));
+    EXPECT_EQ(q.dispatch(), SimTime::nanos(at));
   }
   EXPECT_TRUE(q.empty());
 }
@@ -257,7 +260,7 @@ TEST_P(EventQueueTest, ManyEventsStressOrdering) {
   }
   SimTime prev = SimTime::zero();
   while (!q.empty()) {
-    const auto at = q.pop().at;
+    const auto at = q.dispatch();
     EXPECT_GE(at, prev);
     prev = at;
   }
@@ -276,7 +279,7 @@ TEST_P(EventQueueTest, WideTimeRangeStillPopsInOrder) {
   }
   for (const auto at : expected) {
     ASSERT_FALSE(q.empty());
-    EXPECT_EQ(q.pop().at, SimTime::nanos(at));
+    EXPECT_EQ(q.dispatch(), SimTime::nanos(at));
   }
   EXPECT_TRUE(q.empty());
 }

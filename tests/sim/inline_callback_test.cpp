@@ -99,6 +99,23 @@ TEST(InlineCallback, MoveAssignDestroysPreviousTarget) {
   victim();  // the replacement must still be callable
 }
 
+TEST(InlineCallback, AssignConstructsInPlaceAndReplacesTarget) {
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  InlineCallback cb{[held = std::move(token)] { (void)held; }};
+  int hits = 0;
+  cb.assign([&hits] { hits += 1; });  // a callable: built in cb's storage
+  EXPECT_TRUE(watch.expired());
+  cb();
+  cb.assign(InlineCallback{[&hits] { hits += 10; }});  // a callback: moved
+  cb();
+  std::array<unsigned char, InlineCallback::kInlineBytes + 1> big{};
+  cb.assign([&hits, big] { hits += 100 + big[0]; });
+  EXPECT_TRUE(cb.heap_allocated());
+  cb();
+  EXPECT_EQ(hits, 111);
+}
+
 TEST(InlineCallback, WorksAcrossVectorReallocation) {
   std::vector<InlineCallback> cbs;
   int sum = 0;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "sim/inline_callback.hpp"
-#include "sim/sched_types.hpp"
 #include "sim/time.hpp"
 
 namespace trim::sim {
@@ -31,7 +30,11 @@ namespace trim::sim {
 class ReferenceHeap {
  public:
   using Callback = InlineCallback;
-  using Popped = PoppedEvent;
+
+  struct Popped {
+    SimTime at;
+    Callback cb;
+  };
 
   // Handle to a scheduled event; a default-constructed Id is invalid.
   class Id {

@@ -7,11 +7,13 @@
 // boundaries, and a fig. 8-scale pending set all behave the same.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
+#include "sim/dispatch.hpp"
 #include "sim/reference_heap.hpp"
 #include "sim/simulator.hpp"
 
@@ -74,32 +76,25 @@ std::vector<std::pair<std::int64_t, std::size_t>> replay(const std::vector<Op>& 
   std::vector<decltype(q.push(SimTime{}, InlineCallback{}))> ids;
   std::vector<std::pair<std::int64_t, std::size_t>> trace;
   std::size_t next_ordinal = 0;
+  std::size_t fired = 0;  // ordinal of the event that just ran
+  auto dispatch = [&] { trace.emplace_back(dispatch_next(q).ns(), fired); };
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::kPush: {
         const std::size_t ordinal = next_ordinal++;
-        ids.push_back(q.push(SimTime::nanos(op.at), [&trace, ordinal] {
-          trace.back().second = ordinal;
-        }));
+        ids.push_back(q.push(SimTime::nanos(op.at),
+                             [&fired, ordinal] { fired = ordinal; }));
         break;
       }
       case Op::kCancel:
         q.cancel(ids[op.target]);  // possibly stale: must be a no-op
         break;
       case Op::kPop:
-        if (!q.empty()) {
-          auto popped = q.pop();
-          trace.emplace_back(popped.at.ns(), 0);
-          popped.cb();
-        }
+        if (!q.empty()) dispatch();
         break;
     }
   }
-  while (!q.empty()) {
-    auto popped = q.pop();
-    trace.emplace_back(popped.at.ns(), 0);
-    popped.cb();
-  }
+  while (!q.empty()) dispatch();
   EXPECT_EQ(q.size(), 0u);
   return trace;
 }
@@ -158,9 +153,7 @@ std::uint64_t fig08_mix_checksum(int flows, std::uint64_t pops) {
   }
   std::uint64_t checksum = 1469598103934665603ull;  // FNV offset basis
   for (std::uint64_t done = 0; done < pops; ++done) {
-    auto ev = q.pop();
-    ev.cb();
-    const std::int64_t now = ev.at.ns();
+    const std::int64_t now = dispatch_next(q).ns();
     checksum = (checksum ^ static_cast<std::uint64_t>(now)) * 1099511628211ull;
     checksum = (checksum ^ fired) * 1099511628211ull;
     const std::uint64_t r = rnd.next();
@@ -179,6 +172,223 @@ TEST(SchedulerEquivalence, Fig08EventMixAtPaperScaleDispatchesIdentically) {
             fig08_mix_checksum<CalendarQueue>(kFlows, kPops));
 }
 
+// A scenario harness for the dispatch-path cases below. Events are named
+// by push ordinal; each records (time, ordinal) when it fires and then
+// runs an optional action, which may push, cancel and query the queue.
+template <typename Queue>
+struct Harness {
+  using Id = decltype(std::declval<Queue&>().push(SimTime{}, [] {}));
+  using Trace = std::vector<std::pair<std::int64_t, std::size_t>>;
+
+  template <typename Action>
+  Id push(std::int64_t at, Action action) {
+    const std::size_t ordinal = ids.size();
+    ids.emplace_back();
+    ids[ordinal] = q.push(SimTime::nanos(at), [this, ordinal, action]() mutable {
+      trace.emplace_back(now.ns(), ordinal);
+      action();
+    });
+    return ids[ordinal];
+  }
+  Id push(std::int64_t at) {
+    return push(at, [] {});
+  }
+  void drain() {
+    while (dispatch_until(q, SimTime::max(), now)) {
+    }
+  }
+
+  Queue q;
+  SimTime now;
+  std::vector<Id> ids;  // by ordinal
+  Trace trace;
+};
+
+// Sparse horizons, the shape datacenter-RTT runs leave the wheel in: a few
+// self-rearming chains with gaps of 300 ns to ~100 us, so buckets at
+// levels 1-3 hold only a handful of events and are served as sorted runs.
+// Fired events also push one-shots a few hundred ns out or at `now` (they
+// land inside the run being served, before the wheel position) and cancel
+// random earlier events (pending in a bucket, tombstoned inside a served
+// run, or already fired); a cancelled chain is restarted.
+template <typename Queue>
+class SparseHorizon {
+ public:
+  SparseHorizon(std::uint64_t seed, int chains) : rnd_{seed} {
+    for (int c = 0; c < chains; ++c) chain();
+  }
+
+  typename Harness<Queue>::Trace run(std::size_t dispatches) {
+    while (h_.trace.size() < dispatches &&
+           dispatch_until(h_.q, SimTime::max(), h_.now)) {
+    }
+    return h_.trace;
+  }
+
+ private:
+  std::int64_t gap() {
+    const std::int64_t span = std::int64_t{300} << (rnd_.next() % 9);
+    return 300 + static_cast<std::int64_t>(rnd_.next()) % span;
+  }
+
+  void chain() {
+    is_chain_.push_back(true);
+    h_.push(h_.now.ns() + gap(), [this] { step(); });
+  }
+  void one_shot(std::int64_t at) {
+    is_chain_.push_back(false);
+    h_.push(at);
+  }
+
+  void step() {
+    const std::uint64_t r = rnd_.next();
+    chain();
+    if (r % 4 == 0) one_shot(h_.now.ns() + static_cast<std::int64_t>(r >> 8) % 300);
+    if (r % 8 == 1) one_shot(h_.now.ns());
+    if (r % 4 == 2) {
+      const std::size_t victim = (r >> 16) % h_.ids.size();
+      if (h_.q.is_pending(h_.ids[victim])) {
+        h_.q.cancel(h_.ids[victim]);
+        if (is_chain_[victim]) chain();
+      }
+    }
+  }
+
+  Harness<Queue> h_;
+  Lcg rnd_;
+  std::vector<bool> is_chain_;  // by ordinal
+};
+
+TEST(SchedulerEquivalence, SparseHorizonScriptsDispatchIdentically) {
+  for (const int chains : {1, 3, 8}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::uint64_t s = seed * 0x9e3779b97f4a7c15ull + chains;
+      const auto heap = SparseHorizon<ReferenceHeap>{s, chains}.run(20'000);
+      const auto wheel = SparseHorizon<CalendarQueue>{s, chains}.run(20'000);
+      ASSERT_EQ(heap.size(), 20'000u);
+      ASSERT_EQ(heap, wheel) << chains << " chains, seed " << seed;
+    }
+  }
+}
+
+// The four events below share one level-2 bucket (65'536..131'071 ns), so
+// the wheel serves them as one sorted run and jumps to 120'000. The first
+// one pushes events that land inside that run, at its current time and
+// past its end.
+template <typename Queue>
+typename Harness<Queue>::Trace pushes_inside_served_run() {
+  Harness<Queue> h;
+  h.push(70'000, [&h] {
+    h.push(100'000);
+    h.push(80'000);
+    h.push(70'000);
+    h.push(125'000);
+    h.push(120'000);
+    h.push(90'000);
+  });
+  h.push(120'000);
+  h.push(90'000);
+  h.push(75'000);
+  h.drain();
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, PushesInsideServedRunKeepDispatchOrder) {
+  using Trace = Harness<CalendarQueue>::Trace;
+  const Trace want{{70'000, 0}, {70'000, 6}, {75'000, 3}, {80'000, 5},
+                   {90'000, 2}, {90'000, 9}, {100'000, 4}, {120'000, 1},
+                   {120'000, 8}, {125'000, 7}};
+  EXPECT_EQ(pushes_inside_served_run<ReferenceHeap>(), want);
+  EXPECT_EQ(pushes_inside_served_run<CalendarQueue>(), want);
+}
+
+// Cancels of served-run entries leave tombstones that dispatch must skip:
+// the run's next entry, its last entry (the wheel position), and an event
+// pushed into the run a moment earlier.
+template <typename Queue>
+typename Harness<Queue>::Trace cancels_inside_served_run() {
+  Harness<Queue> h;
+  h.push(70'000, [&h] {
+    const auto inside = h.push(85'000);
+    h.q.cancel(h.ids[1]);  // 75'000: the run's next entry
+    h.q.cancel(h.ids[3]);  // 120'000: the run's last entry
+    h.q.cancel(inside);
+    h.push(110'000);
+    EXPECT_EQ(h.q.size(), 2u);
+  });
+  h.push(75'000);
+  h.push(90'000);
+  h.push(120'000);
+  h.drain();
+  EXPECT_TRUE(h.q.empty());
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, CancelsInsideServedRunLeaveTombstones) {
+  using Trace = Harness<CalendarQueue>::Trace;
+  const Trace want{{70'000, 0}, {90'000, 2}, {110'000, 5}};
+  EXPECT_EQ(cancels_inside_served_run<ReferenceHeap>(), want);
+  EXPECT_EQ(cancels_inside_served_run<CalendarQueue>(), want);
+}
+
+// A callback that cancels its own id: a no-op, and the id already reads as
+// no longer pending while the callback runs.
+template <typename Queue>
+typename Harness<Queue>::Trace self_cancel() {
+  Harness<Queue> h;
+  h.push(1'000);
+  h.push(5'000, [&h] {
+    const auto self = h.ids[1];
+    EXPECT_FALSE(h.q.is_pending(self));
+    h.q.cancel(self);
+    EXPECT_FALSE(h.q.is_pending(self));
+    EXPECT_EQ(h.q.size(), 1u);  // only the 9'000 event is left
+    h.push(6'000);
+  });
+  h.push(9'000);
+  h.drain();
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, SelfCancelFromCallbackIsNoOp) {
+  using Trace = Harness<CalendarQueue>::Trace;
+  const Trace want{{1'000, 0}, {5'000, 1}, {6'000, 3}, {9'000, 2}};
+  EXPECT_EQ(self_cancel<ReferenceHeap>(), want);
+  EXPECT_EQ(self_cancel<CalendarQueue>(), want);
+}
+
+// A callback that pushes more than two chunks of callback storage while it
+// runs, then reads its own captures: the wheel runs callbacks in place, so
+// growing the storage must not move the running one.
+template <typename Queue>
+typename Harness<Queue>::Trace pushes_chunks_from_callback(std::uint64_t& seen) {
+  constexpr std::uint32_t kPushes = 2 * CalendarQueue::kCallbackChunk + 3;
+  Harness<Queue> h;
+  // 32 bytes, so the whole callback (64 bytes) stays in the inline buffer.
+  std::array<std::uint64_t, 4> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = 0x1111 * (i + 1);
+  h.push(1'000, [&h, &seen, payload] {
+    for (std::uint32_t i = 0; i < kPushes; ++i) {
+      h.push(1'000 + static_cast<std::int64_t>((i * 7919) % 5'000));
+    }
+    seen = 0;
+    for (const auto v : payload) seen += v;
+  });
+  h.drain();
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, CallbackPushingChunksOfEventsRunsInPlace) {
+  std::uint64_t heap_seen = 0;
+  std::uint64_t wheel_seen = 0;
+  const auto heap = pushes_chunks_from_callback<ReferenceHeap>(heap_seen);
+  const auto wheel = pushes_chunks_from_callback<CalendarQueue>(wheel_seen);
+  EXPECT_EQ(heap.size(), 2 * CalendarQueue::kCallbackChunk + 4);
+  EXPECT_EQ(heap, wheel);
+  EXPECT_EQ(heap_seen, 0x1111u * 10);
+  EXPECT_EQ(wheel_seen, 0x1111u * 10);
+}
+
 // A minimal simulator over the reference heap: the same clock and
 // run_until semantics as sim::Simulator (events exactly at `until` run,
 // the clock then advances to `until`).
@@ -191,12 +401,7 @@ class ReferenceSimulator {
   void cancel(ReferenceHeap::Id id) { queue_.cancel(id); }
   std::uint64_t run_until(SimTime until) {
     std::uint64_t n = 0;
-    while (!queue_.empty() && queue_.next_time() <= until) {
-      auto [at, cb] = queue_.pop();
-      now_ = at;
-      cb();
-      ++n;
-    }
+    while (dispatch_until(queue_, until, now_)) ++n;
     if (now_ < until) now_ = until;
     return n;
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -96,6 +100,65 @@ TEST(Simulator, EventChainTerminates) {
   sim.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sim.now(), SimTime::micros(100));
+}
+
+// A throwing callback propagates out of run_until, but every event that
+// ran, the throwing one included, still counts; the throwing callback is
+// destroyed with its slot; and the same simulator keeps running.
+TEST(Simulator, ThrowingEventKeepsCountsAndSimulatorUsable) {
+  Simulator sim;
+  int ran = 0;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  sim.schedule(SimTime::micros(1), [&ran] { ++ran; });
+  sim.schedule(SimTime::micros(2), [&ran, held = std::move(token)] {
+    ++ran;
+    throw std::runtime_error{"event blew up"};
+  });
+  sim.schedule(SimTime::micros(3), [&ran] { ++ran; });
+
+  EXPECT_THROW(sim.run_until(SimTime::micros(10)), std::runtime_error);
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.events_dispatched(), 2u);
+  EXPECT_GT(sim.run_wall_ns(), 0u);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.now(), SimTime::micros(2));
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  sim.schedule(SimTime::micros(5), [&ran] { ++ran; });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(sim.events_dispatched(), 4u);
+  EXPECT_EQ(sim.now(), SimTime::micros(7));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// The wheel's sparse-horizon guard, independent of timing: with at most 8
+// events pending and gaps beyond the 256 ns level-0 window, no bucket ever
+// outgrows a small run, so each event is bucket-inserted at most once
+// (never cascaded) on its way to dispatch.
+TEST(Simulator, SparseTimerChainsBucketInsertEachEventAtMostOnce) {
+  for (const int chains : {1, 8}) {
+    Simulator sim;
+    constexpr std::uint64_t kTicksPerChain = 5000;
+    std::uint64_t step = 0;
+    std::function<void(std::uint64_t)> tick = [&](std::uint64_t left) {
+      // 300 ns .. 100 us, spread by a multiplicative hash of the step.
+      const auto gap = static_cast<std::int64_t>(
+          300 + (++step * 0x9e3779b97f4a7c15ull >> 40) % 99'700);
+      if (left > 1) {
+        sim.schedule(SimTime::nanos(gap), [&tick, left] { tick(left - 1); });
+      }
+    };
+    for (int c = 0; c < chains; ++c) tick(kTicksPerChain + 1);
+    sim.run();
+    const auto stats = sim.scheduler_stats();
+    const auto events = kTicksPerChain * static_cast<std::uint64_t>(chains);
+    EXPECT_EQ(sim.events_dispatched(), events) << chains << " chains";
+    EXPECT_EQ(stats.pushes, events) << chains << " chains";
+    EXPECT_LE(stats.bucket_inserts, stats.pushes) << chains << " chains";
+    EXPECT_GT(stats.refills, 0u) << chains << " chains";
+  }
 }
 
 }  // namespace
