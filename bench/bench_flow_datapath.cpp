@@ -34,8 +34,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct HostPair {
   explicit HostPair(std::uint64_t bps = 10'000'000'000ull,
                     sim::SimTime delay = sim::SimTime::micros(10))
-      : ab{&sim, "a->b", bps, delay, net::make_queue(net::QueueConfig{})},
-        ba{&sim, "b->a", bps, delay, net::make_queue(net::QueueConfig{})} {
+      : ab{&sim, "a->b", bps, delay, std::make_unique<net::Queue>()},
+        ba{&sim, "b->a", bps, delay, std::make_unique<net::Queue>()} {
     ab.set_peer(&b);
     ba.set_peer(&a);
     a.attach_link(&ab);

@@ -1,8 +1,12 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <string_view>
+#include <system_error>
 
 #include "net/routing.hpp"
 #include "obs/profiler.hpp"
@@ -136,10 +140,18 @@ obs::TelemetrySnapshot World::telemetry_snapshot() const {
 }
 
 std::uint64_t base_seed() {
-  if (const char* env = std::getenv("REPRO_SEED")) {
-    return std::strtoull(env, nullptr, 10);
+  const char* env = std::getenv("REPRO_SEED");
+  if (env == nullptr) return 20160701ull;  // ICDCS 2016
+  // Whole unsigned decimals only: from_chars rejects an empty string, a
+  // sign, whitespace and overflow; the end check rejects trailing junk.
+  const std::string_view text{env};
+  std::uint64_t seed = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), seed);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    throw ConfigError{"bad REPRO_SEED '" + std::string{text} + "'", "REPRO_SEED",
+                      "an unsigned decimal integer below 2^64"};
   }
-  return 20160701ull;  // ICDCS 2016
+  return seed;
 }
 
 bool quick_mode() {

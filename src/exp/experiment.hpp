@@ -40,6 +40,8 @@
 
 namespace trim::exp {
 
+// REPRO_SEED (a whole unsigned decimal) or the fixed default; throws
+// ConfigError on any other value.
 std::uint64_t base_seed();
 bool quick_mode();
 // `dflt` repeats normally, `quick` repeats under REPRO_QUICK; REPRO_REPEATS

@@ -5,7 +5,6 @@
 
 #include "fault/fault_injector.hpp"
 #include "net/node.hpp"
-#include "net/trace_tap.hpp"
 #include "obs/events.hpp"
 #include "sim/config_error.hpp"
 #include "sim/sharded_engine.hpp"
@@ -50,30 +49,12 @@ void Link::set_cross_shard(sim::ShardedEngine* engine, int src_shard, int dst_sh
   dst_shard_ = dst_shard;
 }
 
-void Link::set_tap(TraceTap* tap) {
-  tap_ = tap;
-  if (tap != nullptr) {
-    queue_->set_drop_callback([this](const Packet& p) {
-      tap_->record(PacketEvent::kDropped, p, sim_->now());
-    });
-  } else {
-    queue_->set_drop_callback({});
-  }
-}
-
 void Link::send(Packet p) {
   // Fault ingress: link-down and random loss remove the packet before the
   // egress queue ever sees it (a cut in front of the interface). The
   // injector counts these drops in its own stats.
-  if (fault_ != nullptr && !fault_->offer(p)) {
-    if (tap_ != nullptr) tap_->record(PacketEvent::kDropped, p, sim_->now());
-    return;
-  }
-  // Drops are recorded via the queue's drop callback (set_tap), so the
-  // accept path never copies the packet; on success the tap reads the
-  // header back from the queue's tail.
+  if (fault_ != nullptr && !fault_->offer(p)) return;
   if (!queue_->enqueue(std::move(p))) return;
-  if (tap_ != nullptr) tap_->record(PacketEvent::kEnqueued, queue_->tail(), sim_->now());
   if (!busy_ && queue_->dequeue_into(in_flight_)) {
     busy_ = true;
     begin_transmission();
@@ -95,42 +76,33 @@ void Link::drain() {
   // Serialization finished: propagate, then hand to the peer. The link is
   // free for the next head-of-line packet immediately.
   Packet p = std::move(in_flight_);
-  bytes_delivered_ += p.size_bytes();
-  ++packets_delivered_;
-  if (meter_ != nullptr) meter_->add(sim_->now(), p.size_bytes());
-  if (tap_ != nullptr) tap_->record(PacketEvent::kDelivered, p, sim_->now());
-
   assert(peer_ != nullptr && "Link::send before set_peer");
 
   // Delivery-side faults: corruption marking plus extra delay from jitter,
   // reordering hold-back, or a fixed added delay; possibly a duplicate.
+  // The clone consumes no extra serialization time (a dup on the wire),
+  // but it is a real delivery, and its arrival is pushed first.
   auto extra = sim::SimTime::zero();
-  bool duplicate = false;
   if (fault_ != nullptr) {
     extra = fault_->on_deliver(p);
-    duplicate = fault_->duplicate_now(p);
+    if (fault_->duplicate_now(p)) deliver(Packet{p}, extra);
   }
+  deliver(std::move(p), extra);
 
-  if (duplicate) {
-    // The clone consumes no extra serialization time (a dup on the wire),
-    // but it is a real delivery: counters and the tap both see it.
-    bytes_delivered_ += p.size_bytes();
-    ++packets_delivered_;
-    if (meter_ != nullptr) meter_->add(sim_->now(), p.size_bytes());
-    if (tap_ != nullptr) tap_->record(PacketEvent::kDelivered, p, sim_->now());
-    Packet dup = p;
-    auto arrive_dup = [this, p = std::move(dup)]() mutable {
-      ++packets_arrived_;
-      peer_->receive(std::move(p));
-    };
-    static_assert(sizeof(arrive_dup) <= sim::InlineCallback::kInlineBytes);
-    if (engine_ != nullptr) {
-      engine_->post(src_shard_, dst_shard_, sim_->now() + delay_ + extra,
-                    std::move(arrive_dup));
-    } else {
-      sim_->schedule(delay_ + extra, std::move(arrive_dup));
-    }
+  // Arrival events are pushed before the next serialization event so the
+  // dispatch order (and thus every downstream trace) matches the packet
+  // timeline exactly.
+  if (queue_->dequeue_into(in_flight_)) {
+    begin_transmission();
+  } else {
+    busy_ = false;
   }
+}
+
+void Link::deliver(Packet&& p, sim::SimTime extra) {
+  bytes_delivered_ += p.size_bytes();
+  ++packets_delivered_;
+  if (meter_ != nullptr) meter_->add(sim_->now(), p.size_bytes());
 
   auto arrive = [this, p = std::move(p)]() mutable {
     ++packets_arrived_;
@@ -146,15 +118,6 @@ void Link::drain() {
                   std::move(arrive));
   } else {
     sim_->schedule(delay_ + extra, std::move(arrive));
-  }
-
-  // Arrival events are pushed before the next serialization event so the
-  // dispatch order (and thus every downstream trace) matches the packet
-  // timeline exactly.
-  if (queue_->dequeue_into(in_flight_)) {
-    begin_transmission();
-  } else {
-    busy_ = false;
   }
 }
 

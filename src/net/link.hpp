@@ -23,7 +23,6 @@ class ShardedEngine;  // sim/sharded_engine.hpp
 namespace trim::net {
 
 class Node;
-class TraceTap;
 
 class Link {
  public:
@@ -56,11 +55,6 @@ class Link {
   // Optional throughput instrumentation; counts bytes at delivery time.
   void set_delivery_meter(stats::RateMeter* meter) { meter_ = meter; }
 
-  // Optional packet-event observer (see net/trace_tap.hpp). Installs a
-  // drop callback on the egress queue so drops are recorded without the
-  // send path copying every packet.
-  void set_tap(TraceTap* tap);
-
   // Optional fault injection (see fault/fault_injector.hpp). Installed by
   // FaultInjector::attach; with no injector (or an all-disabled one) the
   // packet path is untouched.
@@ -82,6 +76,10 @@ class Link {
  private:
   void begin_transmission();
   void drain();
+  // The delivery leg of one packet (the original or a fault duplicate):
+  // count and meter it, then schedule its arrival at the peer, locally or
+  // through the shard mailbox, `extra` beyond the propagation delay.
+  void deliver(Packet&& p, sim::SimTime extra);
 
   sim::Simulator* sim_;
   std::string name_;
@@ -107,7 +105,6 @@ class Link {
   std::uint64_t packets_delivered_ = 0;
   std::uint64_t packets_arrived_ = 0;
   stats::RateMeter* meter_ = nullptr;
-  TraceTap* tap_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
 };
 

@@ -40,7 +40,7 @@ Network::Duplex Network::connect(Node& a, Node& b, const LinkSpec& a_to_b,
   auto make = [this](Node& from, Node& to, const LinkSpec& spec) -> Link* {
     auto link = std::make_unique<Link>(sim_, from.name() + "->" + to.name(),
                                        spec.bits_per_sec, spec.prop_delay,
-                                       make_queue(spec.queue));
+                                       std::make_unique<Queue>(spec.queue));
     link->set_peer(&to);
     Link* raw = link.get();
     links_.push_back(std::move(link));

@@ -1,24 +1,21 @@
-// Egress-port queues.
+// The egress-port queue.
 //
-// DropTailQueue models the COTS switch buffers the paper targets (Sec. II:
+// Queue models the COTS switch buffers the paper targets (Sec. II:
 // "droptail queue management of switch buffer"). Capacity can be expressed
 // in packets (the paper's 100-packet buffers) and/or bytes (the 350 KB
 // fat-tree buffers); either limit being exceeded drops the arriving packet.
 //
-// EcnDropTailQueue adds DCTCP-style *instantaneous* CE marking: an arriving
-// ECT packet is marked when the occupancy at enqueue time exceeds the
-// threshold K. This is the switch support DCTCP/L2DCT require (and which
-// TCP-TRIM deliberately avoids needing).
+// With an ECN threshold configured the queue adds DCTCP-style
+// *instantaneous* CE marking: an arriving ECT packet is marked when the
+// occupancy at enqueue time exceeds the threshold K. This is the switch
+// support DCTCP/L2DCT require (and which TCP-TRIM deliberately avoids
+// needing).
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <optional>
 
 #include "mem/ring_buffer.hpp"
 #include "net/packet.hpp"
-#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 #include "stats/time_series.hpp"
 
@@ -30,76 +27,6 @@ struct QueueStats {
   std::uint64_t dropped = 0;
   std::uint64_t marked_ce = 0;
   std::uint64_t bytes_dropped = 0;
-};
-
-class Queue {
- public:
-  virtual ~Queue() = default;
-
-  // Take ownership of `p`. Returns false when the packet was dropped.
-  virtual bool enqueue(Packet p) = 0;
-
-  // The dequeue primitive: move the head packet into `out`, returning
-  // false when the queue is empty. The link's busy-period drain loop calls
-  // this once per packet, refilling its wire slot without an optional
-  // wrapper in between.
-  virtual bool dequeue_into(Packet& out);
-
-  // Convenience wrapper over dequeue_into.
-  std::optional<Packet> dequeue();
-
-  std::size_t len_packets() const { return fifo_.size(); }
-  std::uint64_t len_bytes() const { return bytes_; }
-  bool empty() const { return fifo_.empty(); }
-
-  // Most recently enqueued packet (every implementation appends at the
-  // tail). Queue must not be empty. Lets observers read the packet just
-  // accepted by enqueue() without the caller keeping a copy.
-  const Packet& tail() const { return fifo_.back(); }
-
-  const QueueStats& stats() const { return stats_; }
-
-  // Optional instrumentation: occupancy trace (sampled on every enqueue /
-  // dequeue / drop) and a drop callback.
-  void set_length_trace(stats::TimeSeries* trace, const sim::Simulator* clock) {
-    trace_ = trace;
-    clock_ = clock;
-  }
-  void set_drop_callback(sim::InlineFunction<void(const Packet&)> cb) {
-    on_drop_ = std::move(cb);
-  }
-
-  // Telemetry wiring (done by Link when it adopts the queue): `subject` is
-  // the stable obs::subject_id of the owning link. With a clock attached
-  // the queue emits depth high-watermark and drop-episode events and feeds
-  // the queue.drops counter; without one (bare queues in unit tests) the
-  // hooks are no-ops.
-  void set_telemetry(const sim::Simulator* clock, std::uint32_t subject) {
-    obs_clock_ = clock;
-    obs_subject_ = subject;
-  }
-
- protected:
-  void push_back(Packet p);
-  void drop(const Packet& p);
-  void record_occupancy();
-
-  // Power-of-two ring (was std::deque): a busy port's deque crossed a heap
-  // block boundary every ~9 packets; the ring grows to peak occupancy once
-  // and then never allocates. Bounded queues pre-size it in the ctor.
-  mem::RingBuffer<Packet> fifo_;
-  std::uint64_t bytes_ = 0;
-  QueueStats stats_;
-  stats::TimeSeries* trace_ = nullptr;
-  const sim::Simulator* clock_ = nullptr;
-  sim::InlineFunction<void(const Packet&)> on_drop_;
-
-  const sim::Simulator* obs_clock_ = nullptr;
-  std::uint32_t obs_subject_ = 0;
-  std::size_t hwm_packets_ = 0;       // high-watermark emitted so far
-  bool in_drop_episode_ = false;      // a drop happened, no accept since
-  std::uint64_t episode_drops_ = 0;
-  sim::SimTime episode_start_;
 };
 
 struct QueueConfig {
@@ -128,22 +55,66 @@ struct QueueConfig {
   }
 };
 
-class DropTailQueue : public Queue {
+class Queue {
  public:
-  explicit DropTailQueue(QueueConfig cfg);
-  bool enqueue(Packet p) override;
+  explicit Queue(QueueConfig cfg = {}) : cfg_{cfg} {}
+  virtual ~Queue() = default;
+
+  // Take ownership of `p`. Returns false when the packet was dropped.
+  // Virtual only so tests can drop chosen packets before the droptail
+  // logic runs; such overrides reject through drop().
+  virtual bool enqueue(Packet p);
+
+  // Move the head packet into `out`, returning false when the queue is
+  // empty. The link's busy-period drain loop calls this once per packet,
+  // refilling its wire slot without an optional wrapper in between.
+  bool dequeue_into(Packet& out);
+
+  std::size_t len_packets() const { return fifo_.size(); }
+  std::uint64_t len_bytes() const { return bytes_; }
+  bool empty() const { return fifo_.empty(); }
+
+  const QueueStats& stats() const { return stats_; }
+
+  // Optional occupancy trace, sampled on every enqueue / dequeue / drop
+  // against the clock the owning Link hands over in set_telemetry.
+  void set_length_trace(stats::TimeSeries* trace) { trace_ = trace; }
+
+  // Telemetry wiring (done by Link when it adopts the queue): `subject` is
+  // the stable obs::subject_id of the owning link. With a clock attached
+  // the queue emits depth high-watermark and drop-episode events and feeds
+  // the queue.drops counter; without one (bare queues in unit tests) the
+  // hooks are no-ops.
+  void set_telemetry(const sim::Simulator* clock, std::uint32_t subject) {
+    clock_ = clock;
+    obs_subject_ = subject;
+  }
 
  protected:
+  // Count `p` as rejected at the tail.
+  void drop(const Packet& p);
+
+ private:
   bool has_room(const Packet& p) const;
+  void push_back(Packet p);
+  void record_occupancy();
+
   QueueConfig cfg_;
-};
+  // Power-of-two ring: it grows on demand to peak occupancy and then keeps
+  // its capacity, so steady state is allocation-free. (Eagerly reserving
+  // capacity_packets would pin the full buffer in every queue of a large
+  // fabric — tens of MB of RSS across thousands of mostly-idle ports.)
+  mem::RingBuffer<Packet> fifo_;
+  std::uint64_t bytes_ = 0;
+  QueueStats stats_;
+  stats::TimeSeries* trace_ = nullptr;
 
-class EcnDropTailQueue : public DropTailQueue {
- public:
-  explicit EcnDropTailQueue(QueueConfig cfg);
-  bool enqueue(Packet p) override;
+  const sim::Simulator* clock_ = nullptr;
+  std::uint32_t obs_subject_ = 0;
+  std::size_t hwm_packets_ = 0;       // high-watermark emitted so far
+  bool in_drop_episode_ = false;      // a drop happened, no accept since
+  std::uint64_t episode_drops_ = 0;
+  sim::SimTime episode_start_;
 };
-
-std::unique_ptr<Queue> make_queue(const QueueConfig& cfg);
 
 }  // namespace trim::net

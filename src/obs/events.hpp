@@ -1,6 +1,5 @@
-// The telemetry event vocabulary shared by the flight recorder
-// (obs/flight_recorder.hpp) and the link-level TraceTap JSONL export
-// (net/trace_tap.hpp): one fixed enum of structured event kinds, one
+// The telemetry event vocabulary of the flight recorder
+// (obs/flight_recorder.hpp): one fixed enum of structured event kinds, one
 // POD record layout, and one JSONL line format, so sender-side and
 // link-side traces can be merged on the time axis offline.
 //
@@ -49,7 +48,8 @@ enum class EventKind : std::uint8_t {
   kFaultDuplicate,     // a = flow id, b = seq
   kFaultReorder,       // a = flow id, b = extra hold-back seconds
 
-  // Link packet path (TraceTap JSONL export shares this schema).
+  // Link packet path. No emitter: kept so the kinds after them keep
+  // their encoding.
   kLinkEnqueued,       // a = seq, b = payload bytes; subject = flow id
   kLinkDropped,
   kLinkDelivered,
@@ -130,8 +130,8 @@ constexpr std::uint32_t subject_id(std::string_view name) {
 
 // Appends one JSONL line:
 //   {"t":<sec>,"kind":"<name>","subject":<id>,"a":<a>,"b":<b>}\n
-// Shared by FlightRecorder::to_jsonl and TraceTap::to_jsonl so the two
-// streams interleave cleanly when sorted by "t".
+// Used by FlightRecorder::to_jsonl; streams from several recorders
+// interleave cleanly when sorted by "t".
 void append_event_jsonl(std::string& out, const RecordedEvent& e);
 
 }  // namespace trim::obs

@@ -1,8 +1,7 @@
 // Flight recorder: a bounded binary ring of structured telemetry events.
 //
-// Generalizes TraceTap's ring design beyond links: any component holding a
-// Simulator* can emit (time, kind, subject, a, b) records through
-// obs::emit (obs/telemetry.hpp). Two cost tiers:
+// Any component holding a Simulator* can emit (time, kind, subject, a, b)
+// records through obs::emit (obs/telemetry.hpp). Two cost tiers:
 //
 //   * per-kind event COUNTS are always maintained once a Telemetry bundle
 //     is attached to the simulator — one array increment per event, so

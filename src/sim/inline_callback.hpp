@@ -3,8 +3,8 @@
 //
 // `InlineFunction<R(Args...)>` is the general template; the engine's event
 // callbacks use the `InlineCallback = InlineFunction<void()>` alias, and
-// the hot-path observer hooks (queue drop callback, receiver deliver
-// callback) use argument-taking instantiations so those paths stay free of
+// the hot-path observer hooks (receiver and sender callbacks) use
+// argument-taking instantiations so those paths stay free of
 // std::function's per-capture heap allocation too.
 //
 // The buffer is sized for the link pipeline: it schedules one propagate

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "exp/concurrency_scenario.hpp"
 #include "exp/convergence_scenario.hpp"
@@ -248,6 +249,33 @@ TEST(Experiment, RunSeedsAreStableAndDistinct) {
   EXPECT_EQ(run_seed(1, 0), run_seed(1, 0));
   EXPECT_NE(run_seed(1, 0), run_seed(1, 1));
   EXPECT_NE(run_seed(1, 0), run_seed(2, 0));
+}
+
+TEST(Experiment, BaseSeedAcceptsOnlyWholeUnsignedDecimals) {
+  const char* prior = std::getenv("REPRO_SEED");
+  const bool had_prior = prior != nullptr;
+  const std::string saved = had_prior ? prior : "";
+  ::unsetenv("REPRO_SEED");
+  EXPECT_EQ(base_seed(), 20160701u);
+  ::setenv("REPRO_SEED", "42", 1);
+  EXPECT_EQ(base_seed(), 42u);
+  ::setenv("REPRO_SEED", "18446744073709551615", 1);
+  EXPECT_EQ(base_seed(), 18446744073709551615u);
+  for (const char* bad : {"abc", "12x", "-1", "+7", " 7", "", "18446744073709551616"}) {
+    ::setenv("REPRO_SEED", bad, 1);
+    try {
+      base_seed();
+      ADD_FAILURE() << "REPRO_SEED='" << bad << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.where(), "REPRO_SEED");
+      EXPECT_NE(e.valid_range().find("unsigned decimal"), std::string::npos);
+    }
+  }
+  if (had_prior) {
+    ::setenv("REPRO_SEED", saved.c_str(), 1);
+  } else {
+    ::unsetenv("REPRO_SEED");
+  }
 }
 
 TEST(Experiment, RepeatsHonorsEnvOverride) {

@@ -184,11 +184,18 @@ TEST(FaultInjector, DuplicationDeliversTwice) {
   cfg.duplicate_probability = 1.0;
   FaultInjector inj{&net.sim, cfg};
   inj.attach(*net.ab);
+  std::uint64_t offered_bytes = 0;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    net.ab->send(data_packet(net.b.id(), i));
+    const auto p = data_packet(net.b.id(), i);
+    offered_bytes += p.size_bytes();
+    net.ab->send(p);
   }
   net.sim.run();
   EXPECT_EQ(inj.stats().duplicated, 5u);
+  // The clone takes the same delivery leg as the original: counted,
+  // metered and scheduled once each.
+  EXPECT_EQ(net.ab->packets_delivered(), 10u);
+  EXPECT_EQ(net.ab->bytes_delivered(), 2 * offered_bytes);
   EXPECT_EQ(net.ab->packets_arrived(), 10u);
 }
 

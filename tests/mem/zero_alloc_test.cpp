@@ -25,9 +25,8 @@ net::Packet data_packet(std::uint32_t payload) {
 
 TEST(ZeroAlloc, WarmDropTailQueueCyclesWithoutAllocating) {
   ASSERT_TRUE(mem::alloc_hooks_active());
-  net::DropTailQueue q{net::QueueConfig::droptail_packets(100)};
-  // Warm: the ring was pre-sized from the packet cap at construction, so
-  // even the very first burst is silent — but warm explicitly anyway so
+  net::Queue q{net::QueueConfig::droptail_packets(100)};
+  // Warm: the ring grows on demand to peak occupancy, so fill it first and
   // the assertion isolates the steady cycle.
   for (int i = 0; i < 50; ++i) q.enqueue(data_packet(1460));
   net::Packet out;

@@ -34,7 +34,7 @@ class LinkTest : public ::testing::Test {
 TEST_F(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
   // 1460+40 = 1500 B at 1 Gbps = 12 us; plus 50 us propagation.
   Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(50),
-            make_queue(QueueConfig{})};
+            std::make_unique<Queue>()};
   link.set_peer(&sink);
   link.send(sized_packet(1460));
   sim.run();
@@ -44,7 +44,7 @@ TEST_F(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
 
 TEST_F(LinkTest, BackToBackPacketsAreSerialized) {
   Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(10),
-            make_queue(QueueConfig{})};
+            std::make_unique<Queue>()};
   link.set_peer(&sink);
   for (int i = 0; i < 3; ++i) link.send(sized_packet(1460, i));
   sim.run();
@@ -59,7 +59,7 @@ TEST_F(LinkTest, BackToBackPacketsAreSerialized) {
 
 TEST_F(LinkTest, ThroughputNeverExceedsBandwidth) {
   Link link{&sim, "l", 100'000'000, sim::SimTime::micros(10),
-            make_queue(QueueConfig{})};
+            std::make_unique<Queue>()};
   link.set_peer(&sink);
   const int n = 200;
   for (int i = 0; i < n; ++i) link.send(sized_packet(1460, i));
@@ -72,7 +72,7 @@ TEST_F(LinkTest, ThroughputNeverExceedsBandwidth) {
 
 TEST_F(LinkTest, QueueOverflowDropsButLinkKeepsGoing) {
   Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(10),
-            make_queue(QueueConfig::droptail_packets(5))};
+            std::make_unique<Queue>(QueueConfig::droptail_packets(5))};
   link.set_peer(&sink);
   for (int i = 0; i < 50; ++i) link.send(sized_packet(1460, i));
   sim.run();
@@ -85,7 +85,7 @@ TEST_F(LinkTest, QueueOverflowDropsButLinkKeepsGoing) {
 
 TEST_F(LinkTest, IdleThenBusyCycles) {
   Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(5),
-            make_queue(QueueConfig{})};
+            std::make_unique<Queue>()};
   link.set_peer(&sink);
   link.send(sized_packet(1460));
   sim.run();
@@ -98,7 +98,7 @@ TEST_F(LinkTest, IdleThenBusyCycles) {
 TEST_F(LinkTest, DeliveryMeterCountsBytes) {
   stats::RateMeter meter{sim::SimTime::millis(1)};
   Link link{&sim, "l", 1'000'000'000, sim::SimTime::micros(5),
-            make_queue(QueueConfig{})};
+            std::make_unique<Queue>()};
   link.set_peer(&sink);
   link.set_delivery_meter(&meter);
   for (int i = 0; i < 10; ++i) link.send(sized_packet(1460));
@@ -108,9 +108,9 @@ TEST_F(LinkTest, DeliveryMeterCountsBytes) {
 
 TEST(LinkConstruction, RejectsBadParameters) {
   sim::Simulator sim;
-  EXPECT_THROW(Link(&sim, "l", 0, sim::SimTime::micros(1), make_queue(QueueConfig{})),
+  EXPECT_THROW(Link(&sim, "l", 0, sim::SimTime::micros(1), std::make_unique<Queue>()),
                std::invalid_argument);
-  EXPECT_THROW(Link(nullptr, "l", 1, sim::SimTime::micros(1), make_queue(QueueConfig{})),
+  EXPECT_THROW(Link(nullptr, "l", 1, sim::SimTime::micros(1), std::make_unique<Queue>()),
                std::invalid_argument);
 }
 

@@ -13,22 +13,22 @@ Packet data_packet(std::uint32_t payload, EcnCodepoint ecn = EcnCodepoint::kNotE
 }
 
 TEST(DropTailQueue, FifoOrder) {
-  DropTailQueue q{QueueConfig::droptail_packets(10)};
+  Queue q{QueueConfig::droptail_packets(10)};
   for (std::uint32_t i = 0; i < 5; ++i) {
     Packet p = data_packet(100);
     p.seq = i;
     ASSERT_TRUE(q.enqueue(std::move(p)));
   }
+  Packet p;
   for (std::uint32_t i = 0; i < 5; ++i) {
-    const auto p = q.dequeue();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->seq, i);
+    ASSERT_TRUE(q.dequeue_into(p));
+    EXPECT_EQ(p.seq, i);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_FALSE(q.dequeue_into(p));
 }
 
 TEST(DropTailQueue, PacketCapacityDropsTail) {
-  DropTailQueue q{QueueConfig::droptail_packets(3)};
+  Queue q{QueueConfig::droptail_packets(3)};
   EXPECT_TRUE(q.enqueue(data_packet(100)));
   EXPECT_TRUE(q.enqueue(data_packet(100)));
   EXPECT_TRUE(q.enqueue(data_packet(100)));
@@ -40,7 +40,7 @@ TEST(DropTailQueue, PacketCapacityDropsTail) {
 
 TEST(DropTailQueue, ByteCapacityDropsTail) {
   // 1000-byte budget; packets are payload + 40 header.
-  DropTailQueue q{QueueConfig::droptail_bytes(1000)};
+  Queue q{QueueConfig::droptail_bytes(1000)};
   EXPECT_TRUE(q.enqueue(data_packet(400)));   // 440
   EXPECT_TRUE(q.enqueue(data_packet(400)));   // 880
   EXPECT_FALSE(q.enqueue(data_packet(400)));  // would be 1320
@@ -50,69 +50,51 @@ TEST(DropTailQueue, ByteCapacityDropsTail) {
 }
 
 TEST(DropTailQueue, UnlimitedNeverDrops) {
-  DropTailQueue q{QueueConfig{}};
+  Queue q{QueueConfig{}};
   for (int i = 0; i < 10000; ++i) ASSERT_TRUE(q.enqueue(data_packet(1460)));
   EXPECT_EQ(q.stats().dropped, 0u);
   EXPECT_EQ(q.len_packets(), 10000u);
 }
 
 TEST(DropTailQueue, ConservationInvariant) {
-  DropTailQueue q{QueueConfig::droptail_packets(5)};
+  Queue q{QueueConfig::droptail_packets(5)};
   for (int i = 0; i < 20; ++i) q.enqueue(data_packet(10));
-  while (q.dequeue().has_value()) {
+  Packet p;
+  while (q.dequeue_into(p)) {
   }
   const auto& s = q.stats();
   EXPECT_EQ(s.enqueued, s.dequeued + q.len_packets());
   EXPECT_EQ(s.enqueued + s.dropped, 20u);
 }
 
-TEST(DropTailQueue, DropCallbackFires) {
-  DropTailQueue q{QueueConfig::droptail_packets(1)};
-  int drops = 0;
-  q.set_drop_callback([&](const Packet&) { ++drops; });
-  q.enqueue(data_packet(1));
-  q.enqueue(data_packet(1));
-  EXPECT_EQ(drops, 1);
-}
-
 TEST(EcnDropTailQueue, MarksEctAboveThreshold) {
-  EcnDropTailQueue q{QueueConfig::ecn_packets(100, 3)};
+  Queue q{QueueConfig::ecn_packets(100, 3)};
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.enqueue(data_packet(100, EcnCodepoint::kEct)));
   // Occupancy is now 3 >= K: the next ECT packet is marked.
   ASSERT_TRUE(q.enqueue(data_packet(100, EcnCodepoint::kEct)));
   int marked = 0;
-  while (auto p = q.dequeue()) {
-    if (p->ecn == EcnCodepoint::kCe) ++marked;
+  Packet p;
+  while (q.dequeue_into(p)) {
+    if (p.ecn == EcnCodepoint::kCe) ++marked;
   }
   EXPECT_EQ(marked, 1);
   EXPECT_EQ(q.stats().marked_ce, 1u);
 }
 
 TEST(EcnDropTailQueue, DoesNotMarkNonEct) {
-  EcnDropTailQueue q{QueueConfig::ecn_packets(100, 1)};
+  Queue q{QueueConfig::ecn_packets(100, 1)};
   q.enqueue(data_packet(100, EcnCodepoint::kNotEct));
   q.enqueue(data_packet(100, EcnCodepoint::kNotEct));
-  while (auto p = q.dequeue()) EXPECT_NE(p->ecn, EcnCodepoint::kCe);
+  Packet p;
+  while (q.dequeue_into(p)) EXPECT_NE(p.ecn, EcnCodepoint::kCe);
   EXPECT_EQ(q.stats().marked_ce, 0u);
 }
 
 TEST(EcnDropTailQueue, StillDropsWhenFull) {
-  EcnDropTailQueue q{QueueConfig::ecn_packets(2, 1)};
+  Queue q{QueueConfig::ecn_packets(2, 1)};
   q.enqueue(data_packet(1, EcnCodepoint::kEct));
   q.enqueue(data_packet(1, EcnCodepoint::kEct));
   EXPECT_FALSE(q.enqueue(data_packet(1, EcnCodepoint::kEct)));
-}
-
-TEST(EcnDropTailQueue, RequiresThreshold) {
-  EXPECT_THROW(EcnDropTailQueue{QueueConfig::droptail_packets(10)},
-               std::invalid_argument);
-}
-
-TEST(MakeQueue, SelectsImplementationFromConfig) {
-  auto plain = make_queue(QueueConfig::droptail_packets(5));
-  auto ecn = make_queue(QueueConfig::ecn_packets(5, 2));
-  EXPECT_NE(dynamic_cast<DropTailQueue*>(plain.get()), nullptr);
-  EXPECT_NE(dynamic_cast<EcnDropTailQueue*>(ecn.get()), nullptr);
 }
 
 }  // namespace

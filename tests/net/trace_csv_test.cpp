@@ -4,80 +4,10 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "net/trace_tap.hpp"
 #include "stats/csv.hpp"
-#include "../tcp/tcp_test_util.hpp"
-#include "tcp/reno.hpp"
-#include "tcp/tcp_receiver.hpp"
 
 namespace trim {
 namespace {
-
-// ---------- TraceTap ----------
-
-TEST(TraceTap, RecordsEnqueueAndDelivery) {
-  test::HostPair net;
-  net::TraceTap tap;
-  tap.attach(*net.ab);
-  tcp::TcpReceiver recv{&net.b, 1, net.a.id()};
-  tcp::RenoSender sender{&net.a, net.b.id(), 1, tcp::TcpConfig{}};
-  sender.write(5 * 1460);
-  net.sim.run();
-  // 5 data packets: each enqueued once and delivered once on a->b.
-  EXPECT_EQ(tap.delivered_count(), 5u);
-  EXPECT_EQ(tap.dropped_count(), 0u);
-  EXPECT_EQ(tap.entries().size(), 10u);
-  // Events are time-ordered.
-  for (std::size_t i = 1; i < tap.entries().size(); ++i) {
-    EXPECT_GE(tap.entries()[i].at, tap.entries()[i - 1].at);
-  }
-}
-
-TEST(TraceTap, RecordsDrops) {
-  test::HostPair net{1'000'000'000, sim::SimTime::micros(50),
-                     net::QueueConfig::droptail_packets(2)};
-  net::TraceTap tap;
-  tap.attach(*net.ab);
-  tcp::TcpReceiver recv{&net.b, 1, net.a.id()};
-  tcp::TcpConfig cfg;
-  cfg.initial_cwnd = 20.0;  // burst straight into the 2-packet queue
-  cfg.min_rto = sim::SimTime::millis(5);
-  tcp::RenoSender sender{&net.a, net.b.id(), 1, cfg};
-  sender.write(20 * 1460);
-  net.sim.run();
-  EXPECT_GT(tap.dropped_count(), 0u);
-  EXPECT_EQ(tap.dropped_count(), net.data_queue->stats().dropped);
-}
-
-TEST(TraceTap, FlowFilterAndRender) {
-  test::HostPair net;
-  net::TraceTap tap;
-  tap.set_flow_filter(2);
-  tap.attach(*net.ab);
-  tcp::TcpReceiver recv1{&net.b, 1, net.a.id()};
-  tcp::TcpReceiver recv2{&net.b, 2, net.a.id()};
-  tcp::RenoSender s1{&net.a, net.b.id(), 1, tcp::TcpConfig{}};
-  tcp::RenoSender s2{&net.a, net.b.id(), 2, tcp::TcpConfig{}};
-  s1.write(3 * 1460);
-  s2.write(3 * 1460);
-  net.sim.run();
-  for (const auto& e : tap.entries()) EXPECT_EQ(e.packet.flow, 2u);
-  const auto text = tap.render(4);
-  EXPECT_NE(text.find("ENQ"), std::string::npos);
-  EXPECT_NE(text.find("more)"), std::string::npos);  // truncation marker
-}
-
-TEST(TraceTap, MaxEntriesBoundsMemory) {
-  test::HostPair net;
-  net::TraceTap tap;
-  tap.set_max_entries(50);
-  tap.attach(*net.ab);
-  tcp::TcpReceiver recv{&net.b, 1, net.a.id()};
-  tcp::RenoSender sender{&net.a, net.b.id(), 1, tcp::TcpConfig{}};
-  sender.write(500 * 1460);
-  net.sim.run();
-  EXPECT_LE(tap.entries().size(), 50u);
-}
 
 // ---------- CSV ----------
 

@@ -19,13 +19,10 @@ namespace {
 // Queue that drops each data packet independently with probability p, and
 // additionally injects occasional loss bursts (correlated drops), driven
 // by a seeded RNG so failures are reproducible.
-class RandomLossQueue : public net::DropTailQueue {
+class RandomLossQueue : public net::Queue {
  public:
   RandomLossQueue(double p_drop, double p_burst, std::uint64_t seed)
-      : DropTailQueue{net::QueueConfig{}},
-        p_drop_{p_drop},
-        p_burst_{p_burst},
-        rng_{seed} {}
+      : p_drop_{p_drop}, p_burst_{p_burst}, rng_{seed} {}
 
   bool enqueue(net::Packet p) override {
     if (!p.is_ack) {
@@ -45,7 +42,7 @@ class RandomLossQueue : public net::DropTailQueue {
         return false;
       }
     }
-    return DropTailQueue::enqueue(std::move(p));
+    return Queue::enqueue(std::move(p));
   }
 
  private:
@@ -69,7 +66,7 @@ TEST_P(LossFuzz, ExactDeliveryUnderRandomLoss) {
   net::Link ab{&sim, "a->b", 1'000'000'000, sim::SimTime::micros(50),
                std::move(lossy)};
   net::Link ba{&sim, "b->a", 1'000'000'000, sim::SimTime::micros(50),
-               net::make_queue(net::QueueConfig{})};
+               std::make_unique<net::Queue>()};
   ab.set_peer(&b);
   ba.set_peer(&a);
   a.attach_link(&ab);
@@ -123,20 +120,19 @@ TEST_P(AckLossFuzz, CumulativeAcksAbsorbAckLoss) {
   sim::Simulator sim;
   net::Host a{&sim, 0, "a"}, b{&sim, 1, "b"};
   net::Link ab{&sim, "a->b", 1'000'000'000, sim::SimTime::micros(50),
-               net::make_queue(net::QueueConfig{})};
+               std::make_unique<net::Queue>()};
   // The "data" direction of b->a carries ACKs; reuse the lossy queue with
   // inverted semantics by dropping non-ack == false packets... ACKs have
   // is_ack set, so drop them via a small custom queue:
-  class AckDropQueue : public net::DropTailQueue {
+  class AckDropQueue : public net::Queue {
    public:
-    explicit AckDropQueue(std::uint64_t seed)
-        : DropTailQueue{net::QueueConfig{}}, rng_{seed} {}
+    explicit AckDropQueue(std::uint64_t seed) : rng_{seed} {}
     bool enqueue(net::Packet p) override {
       if (p.is_ack && rng_.uniform01() < 0.2) {
         drop(p);
         return false;
       }
-      return DropTailQueue::enqueue(std::move(p));
+      return Queue::enqueue(std::move(p));
     }
 
    private:

@@ -24,9 +24,9 @@ namespace {
 // ScriptedDropQueue in tcp_test_util.hpp only matches data-direction
 // packets by sequence number; handshake tests need to lose SYN-ACKs and
 // FINs by *flag*, in either direction.
-class CtrlDropQueue : public net::DropTailQueue {
+class CtrlDropQueue : public net::Queue {
  public:
-  explicit CtrlDropQueue(net::QueueConfig cfg = {}) : DropTailQueue{cfg} {}
+  explicit CtrlDropQueue(net::QueueConfig cfg = {}) : Queue{cfg} {}
 
   void drop_syn(int n) { drop_syn_ += n; }
   void drop_synack(int n) { drop_synack_ += n; }
@@ -36,7 +36,7 @@ class CtrlDropQueue : public net::DropTailQueue {
     if (p.syn && !p.is_ack && take(drop_syn_)) return drop_it(p);
     if (p.syn && p.is_ack && take(drop_synack_)) return drop_it(p);
     if (p.fin && take(drop_fin_)) return drop_it(p);
-    return DropTailQueue::enqueue(std::move(p));
+    return Queue::enqueue(std::move(p));
   }
 
  private:

@@ -13,10 +13,12 @@
 
 namespace trim::test {
 
-// DropTail queue that additionally drops selected data segments, once each.
-class ScriptedDropQueue : public net::DropTailQueue {
+// Droptail queue that additionally drops selected data segments, once each.
+// An ECN threshold in the config still marks (so DCTCP tests can use this
+// scriptable queue as their bottleneck).
+class ScriptedDropQueue : public net::Queue {
  public:
-  explicit ScriptedDropQueue(net::QueueConfig cfg) : DropTailQueue{cfg} {}
+  explicit ScriptedDropQueue(net::QueueConfig cfg) : Queue{cfg} {}
 
   void drop_segment_once(std::uint64_t seq) { to_drop_.insert(seq); }
   void drop_next_data(int n) { drop_next_ += n; }
@@ -35,19 +37,7 @@ class ScriptedDropQueue : public net::DropTailQueue {
         return false;
       }
     }
-    // Honor an ECN marking threshold if the config carries one (so DCTCP
-    // tests can use this scriptable queue as their bottleneck).
-    if (cfg_.ecn_enabled() && p.ecn == net::EcnCodepoint::kEct) {
-      const bool over_pkts = cfg_.ecn_threshold_packets != 0 &&
-                             len_packets() >= cfg_.ecn_threshold_packets;
-      const bool over_bytes = cfg_.ecn_threshold_bytes != 0 &&
-                              len_bytes() + p.size_bytes() > cfg_.ecn_threshold_bytes;
-      if (over_pkts || over_bytes) {
-        p.ecn = net::EcnCodepoint::kCe;
-        ++stats_.marked_ce;
-      }
-    }
-    return DropTailQueue::enqueue(std::move(p));
+    return Queue::enqueue(std::move(p));
   }
 
  private:
@@ -64,7 +54,7 @@ struct HostPair {
     data_queue = dq.get();
     ab = std::make_unique<net::Link>(&sim, "a->b", bps, delay, std::move(dq));
     ba = std::make_unique<net::Link>(&sim, "b->a", bps, delay,
-                                     net::make_queue(net::QueueConfig{}));
+                                     std::make_unique<net::Queue>());
     ab->set_peer(&b);
     ba->set_peer(&a);
     a.attach_link(ab.get());
