@@ -6,7 +6,7 @@
 //     This binary links trim_alloc_hook, so the rate is exact — and in a
 //     healthy build it is zero.
 //   - flow_churn: flow endpoints constructed + destroyed per second.
-//     Senders and receivers land in the world's per-shard arena and their
+//     Senders and receivers land in the world's arena and their
 //     hot per-ACK state in the SoA table, so churn cost is the arena
 //     bump-pointer plus a free-list pop, not a malloc round-trip.
 //   - large_scale_quick: events/s of the fig08 large-scale scenario at

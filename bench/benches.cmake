@@ -29,8 +29,6 @@ trim_bench(bench_ablation_trim)
 trim_bench(bench_engine_micro)
 target_link_libraries(bench_engine_micro PRIVATE benchmark::benchmark)
 
-trim_bench(bench_engine_shard)
-
 trim_bench(bench_flow_datapath)
 
 trim_bench(bench_memory)

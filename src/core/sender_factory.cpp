@@ -10,7 +10,7 @@ namespace trim::core {
 mem::ArenaPtr<tcp::TcpSender> make_sender(tcp::Protocol protocol, net::Host* src,
                                           net::NodeId dst, net::FlowId flow,
                                           const ProtocolOptions& opts) {
-  // Senders are carved from the source shard's arena in creation order:
+  // Senders are carved from the source host's arena in creation order:
   // the per-ACK virtual dispatch then walks contiguous storage instead of
   // scattered heap objects. Bare simulators (no attached domain) fall back
   // to the heap — arena_new(nullptr) is make_unique.

@@ -32,6 +32,7 @@ void validate(const ConnectionStormConfig& cfg) {
           "ConnectionStormConfig::min_rto", "> 0");
   require(cfg.max_rto >= cfg.min_rto, "RTO cap below the floor",
           "ConnectionStormConfig::max_rto", ">= min_rto");
+  require_serial(cfg.shards, "ConnectionStormConfig");
   tcp::validate(cfg.backlog);
   tcp::validate(cfg.ports);
   tcp::validate(cfg.lifecycle);
@@ -59,7 +60,7 @@ struct Conn {
 
 ConnectionStormResult run_connection_storm(const ConnectionStormConfig& cfg) {
   validate(cfg);
-  World world{cfg.shards};
+  World world;
 
   topo::TwoTierConfig topo_cfg;
   topo_cfg.num_switches = cfg.num_switches;

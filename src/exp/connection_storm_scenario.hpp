@@ -40,7 +40,7 @@ struct ConnectionStormConfig {
   // The storm: `connections_total` arrivals, Poisson with mean rate
   // `arrival_rate_cps` connections/sec, client chosen uniformly per
   // arrival. All randomness is drawn up front from one seeded stream, so
-  // the schedule is identical at any REPRO_JOBS / TRIM_SHARDS setting.
+  // the schedule is identical at any REPRO_JOBS setting.
   int connections_total = 200;
   double arrival_rate_cps = 2000.0;
   std::uint64_t request_bytes = 10 * 1460ull;
@@ -58,9 +58,9 @@ struct ConnectionStormConfig {
   sim::SimTime max_rto = sim::SimTime::seconds(60);
   std::uint64_t seed = 1;
 
-  // Engine shards for this one run: >= 1 wins over TRIM_SHARDS (which is
-  // cached per process and therefore useless for side-by-side
-  // comparisons); 0, the default, defers to it.
+  // Kept only for the frozen benchmark driver (perfbench/), which sets it
+  // to 1. The engine is serial: 0 and 1 run it, any larger value throws
+  // ConfigError.
   int shards = 0;
 
   // Optional fault profile on the fabric -> front-end bottleneck link

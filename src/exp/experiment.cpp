@@ -1,6 +1,5 @@
 #include "exp/experiment.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -14,129 +13,36 @@
 
 namespace trim::exp {
 
-int resolve_shards(int requested) {
-  if (requested >= 1) return requested > 256 ? 256 : requested;
-  return sim::ShardedEngine::shards_from_env();
+World::World() : engine{simulator}, network{&simulator} {
+  telemetry.attach(simulator);
+  memory.attach(simulator);
 }
 
-namespace {
-std::vector<std::unique_ptr<obs::Telemetry>> make_bundles(int shards) {
-  std::vector<std::unique_ptr<obs::Telemetry>> bundles;
-  bundles.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    bundles.push_back(std::make_unique<obs::Telemetry>());
-  }
-  return bundles;
-}
-
-std::vector<std::unique_ptr<mem::SimMemory>> make_domains(int shards) {
-  std::vector<std::unique_ptr<mem::SimMemory>> domains;
-  domains.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    domains.push_back(std::make_unique<mem::SimMemory>());
-  }
-  return domains;
-}
-}  // namespace
-
-World::World(int shards)
-    : shard_memory{make_domains(resolve_shards(shards))},
-      shard_telemetry{make_bundles(static_cast<int>(shard_memory.size()))},
-      engine{static_cast<int>(shard_telemetry.size())},
-      telemetry{*shard_telemetry.front()},
-      simulator{engine.control()},
-      network{&simulator} {
-  for (int i = 0; i < engine.shard_count(); ++i) {
-    shard_telemetry[static_cast<std::size_t>(i)]->attach(engine.shard(i));
-    shard_memory[static_cast<std::size_t>(i)]->attach(engine.shard(i));
-  }
-  install_engine_observers();
-}
-
-void World::install_engine_observers() {
-  // Both observers run in the engine's barrier completion step — single
-  // threaded, between windows — and forward into shard 0's bundle with
-  // explicit (deterministic) simulation times. The histogram handle is
-  // registered lazily on the first window so unsharded worlds never grow
-  // a "shard.*" metric in their reports.
-  engine.set_window_observer(
-      [this](sim::SimTime end, sim::SimTime advance) noexcept {
-        if (window_advance_hist_ == nullptr) {
-          window_advance_hist_ =
-              telemetry.registry().histogram("shard.window_advance_us", 0.0,
-                                             1000.0, 100);
-        }
-        window_advance_hist_->observe(advance.to_micros());
-        telemetry.observe(end, obs::EventKind::kShardWindowAdvance, 0,
-                          end.to_seconds(), advance.to_seconds());
-      });
-  engine.set_flush_observer([this](int src, int dst, std::uint64_t posts,
-                                   sim::SimTime at) noexcept {
-    const auto subject = static_cast<std::uint32_t>((src << 8) | dst);
-    telemetry.observe(at, obs::EventKind::kShardMailboxFlush, subject,
-                      static_cast<double>(posts), static_cast<double>(src));
-  });
-}
-
-void World::publish_engine_metrics() const {
-  if (engine.windows_run() == 0) return;  // serial path: nothing to report
-  obs::MetricsRegistry& reg = shard_telemetry.front()->registry();
-  reg.gauge("shard.count")->set(static_cast<double>(engine.shard_count()));
-  reg.gauge("shard.cut_links")->set(static_cast<double>(engine.cut_links()));
-  reg.gauge("shard.lookahead_us")->set(engine.lookahead().to_micros());
-  reg.gauge("shard.windows")->set(static_cast<double>(engine.windows_run()));
-  reg.gauge("shard.posts_flushed")
-      ->set(static_cast<double>(engine.posts_flushed()));
-  reg.gauge("shard.flush_batches")
-      ->set(static_cast<double>(engine.flush_batches()));
-  reg.gauge("shard.window_advance_max_us")
-      ->set(engine.max_window_advance().to_micros());
-  reg.gauge("shard.events_imbalance")->set(engine.events_imbalance());
-  reg.gauge("shard.windows_skipped")
-      ->set(static_cast<double>(engine.windows_skipped()));
+World::World(int shards, std::nullopt_t, std::nullopt_t) : World{} {
+  require_serial(shards, "World");
 }
 
 World::~World() {
-  if (engine.run_wall_ns() > 0) {
-    obs::sweep_profiler().add("sim.run", engine.run_wall_ns(),
-                              engine.events_dispatched());
+  if (simulator.run_wall_ns() > 0) {
+    obs::sweep_profiler().add("sim.run", simulator.run_wall_ns(),
+                              simulator.events_dispatched());
   }
   if (obs::trace_enabled()) {
-    for (std::size_t i = 0; i < shard_telemetry.size(); ++i) {
-      obs::Telemetry& t = *shard_telemetry[i];
-      obs::SpanTracer* tracer = t.tracer();
-      if (tracer == nullptr) continue;
-      tracer->finalize(t.last_event_at());
-      if (tracer->spans().empty() && !t.recorder().ring_enabled()) continue;
-      std::string body = tracer->to_jsonl();
-      body += t.recorder().to_jsonl();
-      obs::write_trace_jsonl("shard" + std::to_string(i), body);
-    }
+    obs::SpanTracer* tracer = telemetry.tracer();
+    if (tracer == nullptr) return;
+    tracer->finalize(telemetry.last_event_at());
+    if (tracer->spans().empty() && !telemetry.recorder().ring_enabled()) return;
+    std::string body = tracer->to_jsonl();
+    body += telemetry.recorder().to_jsonl();
+    // The "shard0" label predates the serial-only engine; the trace tool
+    // and CI read TRACE_shard0_<seq>.jsonl, so the name stays.
+    obs::write_trace_jsonl("shard0", body);
   }
 }
 
-obs::TelemetrySnapshot World::telemetry_snapshot() const {
-  publish_engine_metrics();
-  // Merge per-bundle snapshots without their episode lists, then diagnose
-  // the pooled staged stream once: diagnose_episodes() orders it by
-  // content, so the episodes are identical whether the run used one shard
-  // or many (each shard stages its slice of the same global multiset).
-  obs::TelemetrySnapshot snap =
-      shard_telemetry.front()->snapshot(/*diagnose=*/false);
-  for (std::size_t i = 1; i < shard_telemetry.size(); ++i) {
-    snap.merge(shard_telemetry[i]->snapshot(/*diagnose=*/false));
-  }
-  std::vector<obs::RecordedEvent> staged;
-  sim::SimTime finalize_at;
-  for (const auto& t : shard_telemetry) {
-    staged.insert(staged.end(), t->staged_events().begin(),
-                  t->staged_events().end());
-    finalize_at = std::max(finalize_at, t->last_event_at());
-  }
-  if (!staged.empty()) {
-    snap.episodes = obs::diagnose_episodes(std::move(staged), finalize_at);
-  }
-  return snap;
+void require_serial(int shards, const std::string& where) {
+  require(shards <= 1, "more than one engine shard", where + "::shards",
+          "0 or 1 (the serial engine)");
 }
 
 std::uint64_t base_seed() {
@@ -188,10 +94,7 @@ InvariantScope::InvariantScope(World& world, sim::SimTime horizon) {
   if (!invariants_enabled()) return;
   checker_ = std::make_unique<fault::InvariantChecker>(&world.simulator,
                                                        &world.network);
-  // Periodic checkpoints walk the whole network; in a sharded world they
-  // would fire on shard 0 while other shards are mid-window. finish()
-  // still checks everything after the engine quiesces.
-  if (horizon > sim::SimTime::zero() && world.shard_count() == 1) {
+  if (horizon > sim::SimTime::zero()) {
     // A coarse grid: enough samples to catch a transient leak without
     // noticeably slowing debug runs.
     checker_->schedule_checkpoints(horizon.scaled(1.0 / 8.0), horizon);

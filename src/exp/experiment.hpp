@@ -14,11 +14,6 @@
 //                   "1" turns the simulation invariant checker on in
 //                   release builds (always on in debug builds). See
 //                   fault/invariant_checker.hpp and docs/FAULTS.md.
-//   TRIM_SHARDS     shard count for the parallel engine (default 1 = the
-//                   serial engine; clamped to [1, 256]). Scenarios that
-//                   partition their topology (fig08, fig12) run one giant
-//                   world across that many cores; everything else is
-//                   unaffected. See docs/ENGINE.md, "Sharded engine".
 #pragma once
 
 #include <cstdint>
@@ -26,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/sender_factory.hpp"
 #include "fault/invariant_checker.hpp"
@@ -35,7 +29,6 @@
 #include "obs/telemetry.hpp"
 #include "sim/config_error.hpp"
 #include "sim/random.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::exp {
@@ -48,28 +41,18 @@ bool quick_mode();
 // overrides both.
 int repeats(int dflt, int quick);
 
-// Shard count actually used by a World: `requested` >= 1 wins, anything
-// else falls back to the TRIM_SHARDS environment knob. Clamped to [1, 256].
-int resolve_shards(int requested);
-
-// One isolated simulated world per run, instrumented by default: each
-// shard's telemetry bundle attaches to that shard's simulator in the
+// One isolated simulated world per run, instrumented by default: the
+// telemetry bundle and the memory domain attach to the simulator in the
 // constructor, so every emit site in net/tcp/core feeds this world's (and
-// only this world's) registries — parallel sweep jobs and parallel shards
-// never share telemetry state.
-//
-// With one shard (the default) this is exactly the old serial world:
-// `simulator` is the only event queue and `telemetry` its only bundle.
-// With TRIM_SHARDS=n (or World{n}), `engine` owns n shard simulators;
-// `simulator` aliases shard 0 (the control shard), where topologies are
-// built before topo::shard_network spreads them out.
+// only this world's) registries — parallel sweep jobs never share
+// telemetry or memory state.
 struct World {
-  // `shards` >= 1 wins over TRIM_SHARDS (see resolve_shards).
-  explicit World(int shards = 0);
-  // Same as World{shards}. Kept only because the frozen benchmark driver
-  // (perfbench/workloads.cpp) constructs its worlds as
-  // World(1, std::nullopt, std::nullopt).
-  World(int shards, std::nullopt_t, std::nullopt_t) : World{shards} {}
+  World();
+  // Kept only for the frozen benchmark driver (perfbench/workloads.cpp),
+  // which constructs its worlds as World(1, std::nullopt, std::nullopt).
+  // Throws ConfigError for `shards` > 1: there is one engine, the serial
+  // one.
+  World(int shards, std::nullopt_t, std::nullopt_t);
   // Folds this world's event-loop wall time into obs::sweep_profiler()
   // ("sim.run", items = events dispatched), so bench reports break the
   // clock down into loop time vs. harness time. Also writes the TRACE
@@ -78,39 +61,34 @@ struct World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  // Declared first so the memory domains (arenas + hot-state tables) are
-  // destroyed last: every flow endpoint this world created lives in one of
-  // these arenas and releases its hot-table slot from its destructor, so
-  // the domains must outlive the scenario's Flow objects and the engine.
-  std::vector<std::unique_ptr<mem::SimMemory>> shard_memory;
-  // Every bundle outlives its shard's simulator.
-  std::vector<std::unique_ptr<obs::Telemetry>> shard_telemetry;
-  sim::ShardedEngine engine;
-  obs::Telemetry& telemetry;   // shard 0's bundle
-  sim::Simulator& simulator;   // engine.control() — shard 0
+  // Declared first so the memory domain (arena + hot-state table) is
+  // destroyed last: every flow endpoint this world created lives in its
+  // arena and releases its hot-table slot from its destructor, so the
+  // domain must outlive the scenario's Flow objects and the simulator.
+  mem::SimMemory memory;
+  // Outlives the simulator it observes.
+  obs::Telemetry telemetry;
+  sim::Simulator simulator;
+  // Kept only for the frozen benchmark driver, which reads
+  // engine.events_dispatched() and passes `engine` to
+  // topo::shard_network: an alias of `simulator`.
+  sim::Simulator& engine;
   net::Network network;
 
-  int shard_count() const { return engine.shard_count(); }
-
-  // Drive the whole engine (all shards + mailboxes). Scenarios must call
-  // these — not simulator.run_until() — once the topology is partitioned.
-  std::uint64_t run() { return engine.run(); }
-  std::uint64_t run_until(sim::SimTime until) { return engine.run_until(until); }
+  std::uint64_t run() { return simulator.run(); }
+  std::uint64_t run_until(sim::SimTime until) { return simulator.run_until(until); }
 
   // The deterministic telemetry of this run (metrics + event counts +
-  // diagnosed episodes + spans), merged across shards in shard order,
-  // ready to merge across repeats in submission order. Publishes the
-  // engine's shard-execution gauges (shard.windows, shard.posts_flushed,
-  // shard.events_imbalance, ...) into shard 0's registry first — only
-  // when at least one barrier window ran, so unsharded reports are
-  // unchanged.
-  obs::TelemetrySnapshot telemetry_snapshot() const;
-
- private:
-  void install_engine_observers();
-  void publish_engine_metrics() const;
-  obs::Histogram* window_advance_hist_ = nullptr;  // lazily registered
+  // diagnosed episodes + spans), ready to merge across repeats in
+  // submission order.
+  obs::TelemetrySnapshot telemetry_snapshot() const { return telemetry.snapshot(); }
 };
+
+// Scenario configs keep a `shards` field only for the frozen benchmark
+// driver (perfbench/), which sets it to 1. Throws ConfigError naming
+// `where` for any value above 1, so a request for a parallel engine is
+// never silently ignored.
+void require_serial(int shards, const std::string& where);
 
 // Seed for (experiment, run) pairs, stable across processes.
 std::uint64_t run_seed(std::uint64_t experiment_tag, int run_index);
@@ -136,11 +114,6 @@ bool invariants_enabled();
 //   inv.watch(*flow.sender); ...
 //   world.run_until(cfg.run_until);
 //   inv.finish();   // final checkpoint; loud failure on any violation
-//
-// Sharded worlds (shard_count() > 1) skip the periodic checkpoint grid —
-// a mid-run checkpoint would read every shard's state while the workers
-// are inside a window — but finish() still runs the full final check once
-// the engine has quiesced.
 // finish() must be called while the watched senders are still alive; it
 // prints every violation to stderr and (by default) aborts, so CI cannot
 // miss a broken run. The destructor only warns when finish() was skipped.

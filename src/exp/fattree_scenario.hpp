@@ -30,8 +30,9 @@ struct FattreeConfig {
   sim::SimTime run_until = sim::SimTime::seconds(6.0);
   sim::SimTime min_rto = sim::SimTime::millis(200);
   std::uint64_t seed = 1;
-  // Engine shards for this one run: 0 (the default) defers to TRIM_SHARDS.
-  // >1 spreads pods across that many cores (the scaling bench sets this).
+  // Kept only for the frozen benchmark driver (perfbench/), which sets it
+  // to 1. The engine is serial: 0 and 1 run it, any larger value throws
+  // ConfigError.
   int shards = 0;
 };
 
@@ -43,19 +44,8 @@ struct FattreeResult {
   int total_servers = 0;
   std::uint64_t drops = 0;
 
-  // Engine accounting for the scaling bench: total events across shards,
-  // elapsed wall-clock of the engine run, shards actually used.
+  // Events the simulator dispatched (the memory bench's events/s).
   std::uint64_t events_dispatched = 0;
-  double run_wall_s = 0.0;
-  int shards = 1;
-
-  // Shard-execution telemetry (all zero / empty on the serial path);
-  // shard_stall_s is wall-clock, the rest is deterministic.
-  std::uint64_t windows = 0;
-  std::uint64_t windows_skipped = 0;   // idle-shard fast-path windows (fleet)
-  double events_imbalance = 0.0;       // busiest shard / mean (>= 1 when run)
-  std::vector<double> shard_stall_s;   // [shard] barrier-stall wall time
-  std::vector<std::uint64_t> shard_events;  // [shard] windowed dispatches
 
   // Deterministic run telemetry (metrics + event counts).
   obs::TelemetrySnapshot telemetry;

@@ -8,7 +8,6 @@
 #include "http/lpt_source.hpp"
 #include "http/train_workload.hpp"
 #include "stats/summary.hpp"
-#include "topo/partition.hpp"
 #include "topo/two_tier.hpp"
 
 namespace trim::exp {
@@ -22,7 +21,8 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
           "LargeScaleConfig::lpt_servers_per_switch", "[0, servers_per_switch]");
   require(cfg.spt_window > sim::SimTime::zero(), "empty SPT window",
           "LargeScaleConfig::spt_window", "> 0");
-  World world{cfg.shards};
+  require_serial(cfg.shards, "LargeScaleConfig");
+  World world;
   InvariantScope inv{world, cfg.spt_window + cfg.drain};
   sim::Rng rng{cfg.seed};
 
@@ -32,9 +32,6 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
   topo_cfg.switch_queue =
       switch_queue_for(cfg.protocol, topo_cfg.switch_buffer_pkts, topo_cfg.edge_bps);
   const auto topo = build_two_tier(world.network, topo_cfg);
-  // Spread the built topology across the engine's shards before any flow
-  // exists — transports bind to their host's (possibly re-homed) simulator.
-  topo::shard_network(world.network, world.engine);
 
   const auto opts = default_options(cfg.protocol, topo_cfg.edge_bps, cfg.min_rto);
   const auto run_until = cfg.spt_window + cfg.drain;
@@ -55,7 +52,7 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
 
       if (h < cfg.lpt_servers_per_switch) {
         lpt_sources.push_back(std::make_unique<http::LptSource>(
-            server->simulator(), sender, 512 * 1024));
+            &world.simulator, sender, 512 * 1024));
         lpt_sources.back()->run(sim::SimTime::zero(), run_until);
         continue;
       }
@@ -71,8 +68,7 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
       const auto bytes =
           static_cast<std::uint64_t>(std::max(size_cdf.sample(rng), 512.0));
       spt_senders.push_back(sender);
-      // Application events live on the sending host's shard.
-      server->simulator()->schedule_at(at, [sender, bytes] { sender->write(bytes); });
+      world.simulator.schedule_at(at, [sender, bytes] { sender->write(bytes); });
     }
   }
 
@@ -100,17 +96,7 @@ LargeScaleResult run_large_scale(const LargeScaleConfig& cfg) {
   }
   result.drops = world.network.total_drops();
   result.telemetry = world.telemetry_snapshot();
-  result.events_dispatched = world.engine.events_dispatched();
-  result.run_wall_s = static_cast<double>(world.engine.elapsed_wall_ns()) * 1e-9;
-  result.shards = world.shard_count();
-  result.windows = world.engine.windows_run();
-  result.windows_skipped = world.engine.windows_skipped();
-  result.events_imbalance = world.engine.events_imbalance();
-  for (int i = 0; i < world.shard_count(); ++i) {
-    const auto& st = world.engine.shard_stats(i);
-    result.shard_stall_s.push_back(static_cast<double>(st.stall_wall_ns) * 1e-9);
-    result.shard_events.push_back(st.window_events);
-  }
+  result.events_dispatched = world.simulator.events_dispatched();
   return result;
 }
 

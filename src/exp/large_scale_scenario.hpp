@@ -27,9 +27,9 @@ struct LargeScaleConfig {
   sim::SimTime min_rto = sim::SimTime::millis(20);  // paper: 20 ms here
   sim::SimTime drain = sim::SimTime::seconds(0.7);  // extra time to finish
   std::uint64_t seed = 1;
-  // Engine shards for this one run: 0 (the default) defers to TRIM_SHARDS.
-  // >1 partitions the two-tier topology across that many cores (the bench
-  // sets this explicitly; TRIM_SHARDS=1 keeps the serial engine).
+  // Kept only for the frozen benchmark driver (perfbench/), which sets it
+  // to 1. The engine is serial: 0 and 1 run it, any larger value throws
+  // ConfigError.
   int shards = 0;
 };
 
@@ -41,21 +41,8 @@ struct LargeScaleResult {
   std::uint64_t spt_timeouts = 0;
   std::uint64_t drops = 0;
 
-  // Engine accounting for the scaling bench: total events across shards,
-  // elapsed wall-clock of the engine run, shards actually used.
+  // Events the simulator dispatched (the memory bench's events/s).
   std::uint64_t events_dispatched = 0;
-  double run_wall_s = 0.0;
-  int shards = 1;
-
-  // Shard-execution telemetry (all zero / empty on the serial path).
-  // windows/imbalance/shard_events are deterministic; shard_stall_s is
-  // wall-clock (barrier wait per shard) and must stay out of any
-  // deterministic report section.
-  std::uint64_t windows = 0;
-  std::uint64_t windows_skipped = 0;   // idle-shard fast-path windows (fleet)
-  double events_imbalance = 0.0;       // busiest shard / mean (>= 1 when run)
-  std::vector<double> shard_stall_s;   // [shard] barrier-stall wall time
-  std::vector<std::uint64_t> shard_events;  // [shard] windowed dispatches
 
   // Deterministic run telemetry (metrics + event counts).
   obs::TelemetrySnapshot telemetry;

@@ -15,7 +15,7 @@ namespace trim::mem {
 namespace {
 
 // One record per allocating thread, cache-line sized so two workers never
-// bounce a line between cores while counting a sharded run.
+// bounce a line between cores while counting a parallel sweep.
 struct alignas(64) ThreadRecord {
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> frees{0};

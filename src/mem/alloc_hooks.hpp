@@ -2,7 +2,7 @@
 //
 // The zero-allocation steady-state gate needs to observe every global
 // operator new/delete in a real scenario run. The counting itself lives
-// here (thread-local records so TRIM_SHARDS>1 workers never contend on a
+// here (thread-local records so parallel sweep workers never contend on a
 // shared counter); the actual operator new/delete replacement lives in
 // alloc_hooks_global.cpp, which is compiled *only* into the binaries that
 // gate allocations (tests/mem, bench_memory) via the trim_alloc_hook
@@ -45,8 +45,8 @@ void reset_alloc_counts();
 // Sum over every thread that ever allocated while counting was on.
 AllocTotals alloc_totals();
 
-// Threads that have registered a record so far (tests assert the sharded
-// engine's workers each got their own).
+// Threads that have registered a record so far (tests assert that
+// concurrent workers each got their own).
 std::size_t alloc_tracked_threads();
 
 // Diagnostics for a failing zero-alloc gate: print the call stack of the

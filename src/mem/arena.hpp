@@ -6,14 +6,13 @@
 // stay pointer-stable for the arena's lifetime, and are *freed en masse*
 // when the arena dies: ArenaPtr runs the destructor only, the storage is
 // returned when the owning chunk chain is released. One Arena belongs to
-// one shard (mem::SimMemory attaches one per shard simulator), so
-// same-shard objects never interleave with another shard's — the
-// allocation-time analogue of the engine's no-cross-shard-false-sharing
-// rule.
+// one world (mem::SimMemory attaches one per world simulator), so one
+// world's objects never interleave with another's, even when parallel
+// sweep jobs build worlds side by side.
 //
 // The arena is deliberately not a general-purpose free-list allocator:
 // there is no per-object deallocate. That is what makes it cheap (pointer
-// bump, no headers, no locks — one shard, one thread) and what gives the
+// bump, no headers, no locks — one world, one thread) and what gives the
 // en-masse free its O(chunks) teardown at World destruction.
 #pragma once
 

@@ -1,18 +1,18 @@
-// Struct-of-arrays storage for the per-ACK hot state of every flow on one
-// shard.
+// Struct-of-arrays storage for the per-ACK hot state of every flow in one
+// world.
 //
 // TcpSender used to keep cwnd / ssthresh / snd_una / snd_next / the RTT
 // estimator / the RTO deadline as ordinary members, so the ACK loop and
 // the invariant checker chased one heap-allocated virtual object per flow
 // to touch ~72 bytes of it. The FlowHotTable keeps those fields in dense
-// parallel columns indexed by a per-shard slot handed out at sender
+// parallel columns indexed by a per-world slot handed out at sender
 // construction: slots are assigned in creation order, so walking flows in
 // the order the world built them walks contiguous cache lines, and the
 // invariant checker's whole-world sweeps read columns instead of objects.
 //
-// One table serves one shard (it lives in mem::SimMemory, attached to that
-// shard's Simulator), so two shards never write the same column — the SoA
-// analogue of the engine's no-cross-shard-false-sharing rule. Slots are
+// One table serves one world (it lives in mem::SimMemory, attached to that
+// world's Simulator), so two parallel sweep jobs never write the same
+// column. Slots are
 // recycled through a free list when senders die mid-world (connection
 // churn); columns only ever grow, and growth can move the columns, so
 // accessors must be re-resolved through the table rather than cached as

@@ -19,13 +19,13 @@ namespace trim::mem {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-// --- Packet: the unit the ring buffer and mailboxes move around. Two
+// --- Packet: the unit the ring buffer and queues move around. Two
 // packets per cache line; growing it past 64 bytes halves queue density.
 static_assert(sizeof(net::Packet) <= kCacheLineBytes,
               "Packet must fit in one cache line");
 
-// --- Per-shard memory domain: alignas(64) keeps two shards' domains off a
-// shared line when World stores them contiguously.
+// --- Per-world memory domain: alignas(64) keeps two worlds' domains off a
+// shared line when parallel sweep jobs allocate them side by side.
 static_assert(alignof(SimMemory) == kCacheLineBytes,
               "SimMemory must be cache-line aligned");
 

@@ -1,11 +1,10 @@
-// The per-shard memory domain: one arena (flow/sender/receiver objects)
-// plus one FlowHotTable (SoA per-ACK state), attached to that shard's
+// The per-world memory domain: one arena (flow/sender/receiver objects)
+// plus one FlowHotTable (SoA per-ACK state), attached to that world's
 // Simulator exactly like obs::Telemetry — any component holding a
-// Simulator* reaches its shard's memory domain without new plumbing, and
-// two shards never share an allocation cache line.
+// Simulator* reaches its world's memory domain without new plumbing, and
+// two worlds never share an allocation cache line.
 //
-// exp::World owns one SimMemory per shard and attaches them in its
-// constructor, so every scenario flow is arena-backed and its storage is
+// exp::World owns one SimMemory and attaches it in its constructor, so every scenario flow is arena-backed and its storage is
 // freed en masse when the World dies. Bare Simulators (unit tests,
 // microbenches that build flows by hand) fall back to a process-lifetime
 // registry domain created on first use: correctness is identical, the

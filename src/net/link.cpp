@@ -7,7 +7,6 @@
 #include "net/node.hpp"
 #include "obs/events.hpp"
 #include "sim/config_error.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace trim::net {
 
@@ -28,25 +27,6 @@ Link::Link(sim::Simulator* sim, std::string name, std::uint64_t bits_per_sec,
   // Queue events (watermarks, drop episodes) report under this link's
   // stable name hash, identical across runs and processes.
   queue_->set_telemetry(sim_, obs::subject_id(name_));
-}
-
-void Link::rebind_simulator(sim::Simulator* sim) {
-  if (sim == nullptr) {
-    throw ConfigError{"Link: null simulator", "link " + name_,
-                      "a live shard simulator"};
-  }
-  if (busy_) {
-    throw ConfigError{"Link: rebind while transmitting", "link " + name_,
-                      "rebind before traffic starts"};
-  }
-  sim_ = sim;
-  queue_->set_telemetry(sim_, obs::subject_id(name_));
-}
-
-void Link::set_cross_shard(sim::ShardedEngine* engine, int src_shard, int dst_shard) {
-  engine_ = engine;
-  src_shard_ = src_shard;
-  dst_shard_ = dst_shard;
 }
 
 void Link::send(Packet p) {
@@ -109,16 +89,7 @@ void Link::deliver(Packet&& p, sim::SimTime extra) {
     peer_->receive(std::move(p));
   };
   static_assert(sizeof(arrive) <= sim::InlineCallback::kInlineBytes);
-  if (engine_ != nullptr) {
-    // Shard cut: the arrival belongs to the peer's simulator. It lands in
-    // the (src, dst) mailbox and is scheduled at the next window barrier —
-    // delay_ >= the engine lookahead guarantees `due` is never behind the
-    // destination shard's clock.
-    engine_->post(src_shard_, dst_shard_, sim_->now() + delay_ + extra,
-                  std::move(arrive));
-  } else {
-    sim_->schedule(delay_ + extra, std::move(arrive));
-  }
+  sim_->schedule(delay_ + extra, std::move(arrive));
 }
 
 }  // namespace trim::net

@@ -16,10 +16,6 @@ namespace trim::fault {
 class FaultInjector;
 }
 
-namespace trim::sim {
-class ShardedEngine;  // sim/sharded_engine.hpp
-}
-
 namespace trim::net {
 
 class Node;
@@ -61,24 +57,12 @@ class Link {
   void set_fault_injector(fault::FaultInjector* f) { fault_ = f; }
   const fault::FaultInjector* fault_injector() const { return fault_; }
 
-  // ---- sharded-engine wiring (Network::apply_partition) ----
-  // Re-home the link (and its queue's telemetry clock) onto the source
-  // node's shard simulator. Egress, serialization, and every queue event
-  // stay on that shard.
-  void rebind_simulator(sim::Simulator* sim);
-  // Mark the link as a shard cut: the delivery leg posts the arrival into
-  // the engine's (src, dst) mailbox instead of the local event queue. The
-  // engine flushes mailboxes at each window barrier; prop_delay() >= the
-  // engine lookahead keeps that hand-off causal.
-  void set_cross_shard(sim::ShardedEngine* engine, int src_shard, int dst_shard);
-  bool cross_shard() const { return engine_ != nullptr; }
-
  private:
   void begin_transmission();
   void drain();
   // The delivery leg of one packet (the original or a fault duplicate):
-  // count and meter it, then schedule its arrival at the peer, locally or
-  // through the shard mailbox, `extra` beyond the propagation delay.
+  // count and meter it, then schedule its arrival at the peer `extra`
+  // beyond the propagation delay.
   void deliver(Packet&& p, sim::SimTime extra);
 
   sim::Simulator* sim_;
@@ -92,14 +76,6 @@ class Link {
   // than in the event closure makes the busy-period continuation capture
   // just `this`: one wire slot, refilled in place per drained packet.
   Packet in_flight_;
-
-  // Cross-shard delivery (null for the ordinary same-shard path). The
-  // arrival callback runs on the peer's shard; it touches only
-  // packets_arrived_ (written by that shard alone) and the peer itself,
-  // so the link needs no locks.
-  sim::ShardedEngine* engine_ = nullptr;
-  int src_shard_ = 0;
-  int dst_shard_ = 0;
 
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t packets_delivered_ = 0;

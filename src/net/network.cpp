@@ -44,7 +44,6 @@ Network::Duplex Network::connect(Node& a, Node& b, const LinkSpec& a_to_b,
     link->set_peer(&to);
     Link* raw = link.get();
     links_.push_back(std::move(link));
-    link_src_.push_back(from.id());
     const std::size_t port = from.attach_link(raw);
     adjacency_[from.id()].push_back({to.id(), port});
     return raw;
@@ -83,49 +82,6 @@ void Network::build_routes() {
       }
     }
   }
-}
-
-NodeId Network::link_source(std::size_t link_index) const {
-  if (link_index >= link_src_.size()) {
-    throw ConfigError{"bad link index", "Network::link_source"};
-  }
-  return link_src_[link_index];
-}
-
-void Network::apply_partition(sim::ShardedEngine& engine,
-                              const std::vector<int>& shard_of_node) {
-  if (shard_of_node.size() != nodes_.size()) {
-    throw ConfigError{"partition size != node count", "Network::apply_partition",
-                      "one shard id per node"};
-  }
-  for (const int s : shard_of_node) {
-    if (s < 0 || s >= engine.shard_count()) {
-      throw ConfigError{"shard id out of range", "Network::apply_partition",
-                        "[0, engine.shard_count())"};
-    }
-  }
-  if (engine.pending_events() != 0) {
-    throw ConfigError{"partition applied to a running world",
-                      "Network::apply_partition",
-                      "apply before scheduling any event"};
-  }
-
-  // Nodes first, so Host::simulator() is correct for every transport and
-  // application created after this point.
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    nodes_[id]->rebind_simulator(&engine.shard(shard_of_node[id]));
-  }
-  // Each link runs on its source's shard; cuts switch to mailbox delivery.
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    const int src = shard_of_node[link_src_[i]];
-    const int dst = shard_of_node[links_[i]->peer()->id()];
-    links_[i]->rebind_simulator(&engine.shard(src));
-    if (src != dst) {
-      engine.note_cut_link(src, dst, links_[i]->prop_delay());
-      links_[i]->set_cross_shard(&engine, src, dst);
-    }
-  }
-  shard_of_ = shard_of_node;
 }
 
 std::uint64_t Network::total_drops() const {

@@ -12,7 +12,6 @@
 #include "net/link.hpp"
 #include "net/queue.hpp"
 #include "net/switch.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::net {
@@ -55,28 +54,6 @@ class Network {
   // after the last connect() and before traffic starts.
   void build_routes();
 
-  // Distribute the built topology across `engine`'s shards:
-  // `shard_of_node[id]` re-homes node `id` (and every link it sources)
-  // onto that shard's simulator, and each link whose endpoints land on
-  // different shards is switched to the engine's mailbox delivery path
-  // (its prop_delay shrinks the engine lookahead). Must run after the
-  // last connect() and before any flow, agent, or event is created —
-  // transports pick their shard up from Host::simulator(). Throws
-  // ConfigError on a malformed partition, a zero-delay cut link, or a
-  // world that already has pending events.
-  void apply_partition(sim::ShardedEngine& engine,
-                       const std::vector<int>& shard_of_node);
-
-  // Shard owning node `id`: 0 before apply_partition (everything lives on
-  // the control shard).
-  int node_shard(NodeId id) const {
-    return shard_of_.empty() ? 0 : shard_of_.at(id);
-  }
-
-  // Source node of a link (links are unidirectional; the owner schedules
-  // its serialization events). Index into links().
-  NodeId link_source(std::size_t link_index) const;
-
   FlowId new_flow_id() { return next_flow_id_++; }
 
   std::size_t node_count() const { return nodes_.size(); }
@@ -99,8 +76,6 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::vector<Edge>> adjacency_;  // node id -> edges
-  std::vector<int> shard_of_;                 // empty until apply_partition
-  std::vector<NodeId> link_src_;              // links_[i] is sourced by link_src_[i]
   FlowId next_flow_id_ = 1;
 };
 

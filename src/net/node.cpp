@@ -12,11 +12,6 @@ Node::Node(sim::Simulator* sim, NodeId id, std::string name)
   if (sim_ == nullptr) throw std::invalid_argument("Node: null simulator");
 }
 
-void Node::rebind_simulator(sim::Simulator* sim) {
-  if (sim == nullptr) throw std::invalid_argument("Node::rebind_simulator: null simulator");
-  sim_ = sim;
-}
-
 std::size_t Node::attach_link(Link* link) {
   if (link == nullptr) throw std::invalid_argument("Node::attach_link: null link");
   out_links_.push_back(link);

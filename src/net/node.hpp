@@ -25,23 +25,6 @@ class Node {
   const std::string& name() const { return name_; }
   sim::Simulator* simulator() const { return sim_; }
 
-  // ---- partition annotations (topo/partition.hpp) ----
-  // Affinity group: nodes sharing a group id are never split across
-  // shards (topology builders group a rack / pod with its switch).
-  // -1 (the default) lets the partitioner infer a group.
-  int part_group() const { return part_group_; }
-  void set_part_group(int group) { part_group_ = group; }
-  // Relative event-load estimate used to balance shards. <= 0 (default)
-  // means "derive from node kind and degree"; builders annotate known
-  // hot spots (the incast front-end, transit fabric switches).
-  double part_weight() const { return part_weight_; }
-  void set_part_weight(double weight) { part_weight_ = weight; }
-
-  // Re-home this node onto a shard's simulator. Only legal between
-  // topology construction and traffic start (Network::apply_partition);
-  // agents created afterwards pick the new simulator up via simulator().
-  virtual void rebind_simulator(sim::Simulator* sim);
-
   // Registers an egress link; returns its port index on this node.
   std::size_t attach_link(Link* link);
   std::size_t port_count() const { return out_links_.size(); }
@@ -54,8 +37,6 @@ class Node {
   NodeId id_;
   std::string name_;
   std::vector<Link*> out_links_;
-  int part_group_ = -1;
-  double part_weight_ = 0.0;
 };
 
 }  // namespace trim::net

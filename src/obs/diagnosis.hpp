@@ -39,9 +39,9 @@ enum class DetectorKind : std::uint8_t {
 
 const char* to_string(DetectorKind kind);
 
-// One diagnosed interval. POD; merging telemetry across sweep jobs or
-// shards concatenates episode lists (each simulator diagnoses its own
-// event stream).
+// One diagnosed interval. POD; merging telemetry across sweep jobs
+// concatenates episode lists (each simulator diagnoses its own event
+// stream).
 struct DiagnosedEpisode {
   DetectorKind kind = DetectorKind::kRtoSync;
   sim::SimTime start;  // earliest implicated event
@@ -255,8 +255,8 @@ class DetectorSet {
 // subject, a, b), a total order independent of arrival order — and
 // streams them through a fresh DetectorSet, finalizing at `finalize_at`.
 // Telemetry stages detector-masked events at run time (O(1) per event)
-// and calls this at snapshot; because the staged multiset is identical
-// across scheduler backends and TRIM_SHARDS widths, so are the episodes.
+// and calls this at snapshot, so episodes never depend on the order in
+// which same-time events were staged.
 std::vector<DiagnosedEpisode> diagnose_episodes(
     std::vector<RecordedEvent> events, sim::SimTime finalize_at);
 

@@ -73,10 +73,10 @@ enum class EventKind : std::uint8_t {
   kConnTimeWaitExpire, // the TIME_WAIT timer ran out; the 4-tuple is free
   kPortExhaustedEnd,   // a = failed allocations in the ended episode;
                        //     subject = host name id (see PortAllocator)
-  kShardWindowAdvance, // a = window end seconds, b = width beyond the
-                       //     earliest pending event; subject = 0
-  kShardMailboxFlush,  // subject = (src shard << 8) | dst shard,
-                       //     a = posts flushed, b = src shard
+  // Sharded-engine kinds. No emitter: kept so the kind count and every
+  // encoding match recorded streams and reports.
+  kShardWindowAdvance,
+  kShardMailboxFlush,
 };
 
 inline constexpr std::size_t kEventKindCount =
@@ -107,10 +107,10 @@ struct RecordedEvent {
 
 // Receiver-endpoint subject: the passive side of a connection shares the
 // sender's flow id but runs its own state machine (its own ESTABLISHED,
-// TIME_WAIT, CLOSED transitions, possibly on a different engine shard).
-// The high bit marks its lifecycle events so per-subject consumers — the
-// span tracer above all — see two independent endpoint streams and
-// assemble identical spans at any TRIM_SHARDS width.
+// TIME_WAIT, CLOSED transitions). The high bit marks its lifecycle events
+// so per-subject consumers — the span tracer above all — see two
+// independent endpoint streams, whatever order their events interleave
+// in.
 inline constexpr std::uint32_t kRxFlowBit = 0x8000'0000u;
 constexpr std::uint32_t rx_subject(std::uint32_t flow) {
   return flow | kRxFlowBit;

@@ -161,7 +161,7 @@ void SpanTracer::finalize(sim::SimTime at) {
 namespace {
 
 // FNV-1a over the span's order-independent identity (no span ids — those
-// depend on event arrival order across shards).
+// depend on event arrival order).
 std::uint64_t span_hash(const Span& s) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {

@@ -16,8 +16,8 @@
 // Export paths: to_jsonl() writes one span per line (schema below) into
 // the TRACE_*.jsonl files next to REPORT_*.json; tools/trim_trace converts
 // those to Chrome trace-event JSON for Perfetto. stats() condenses the
-// span set into mergeable, order-independent counts + digest so the
-// scheduler/shard equivalence tests can compare whole traces cheaply.
+// span set into mergeable, order-independent counts + digest so
+// equivalence tests can compare whole traces cheaply.
 #pragma once
 
 #include <array>
@@ -64,9 +64,9 @@ struct Span {
   bool complete = false;
 };
 
-// Order-independent roll-up of one tracer's spans; shards merge
-// commutatively, so equivalence tests can compare traces across
-// TRIM_SHARDS widths and scheduler backends without sorting anything.
+// Order-independent roll-up of one tracer's spans; sweep jobs merge
+// commutatively, so equivalence tests can compare traces without sorting
+// anything.
 struct SpanStats {
   std::array<std::uint64_t, kSpanKindCount> by_kind{};
   std::uint64_t completed = 0;

@@ -59,9 +59,9 @@ void Telemetry::dispatch_sinks(sim::SimTime at, EventKind kind,
   }
 }
 
-TelemetrySnapshot Telemetry::snapshot(bool diagnose) const {
+TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot snap{registry_.snapshot(), recorder_.counts(), {}, {}};
-  if (detectors_enabled_ && diagnose) {
+  if (detectors_enabled_) {
     snap.episodes = diagnose_episodes(staged_, last_event_at_);
   }
   if (tracer_) {

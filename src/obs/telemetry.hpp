@@ -52,10 +52,9 @@ struct TelemetrySnapshot {
   }
 };
 
-// alignas(64): one bundle per shard, each incremented from its own worker
-// thread on every segment/ACK — the counters of two bundles must never
-// share a cache line (the bundles are heap-allocated per shard; alignment
-// guarantees the line split even if an allocator co-locates them).
+// alignas(64): one bundle per world, and parallel sweep jobs increment
+// their worlds' bundles from different threads on every segment/ACK — the
+// counters of two bundles must never share a cache line.
 class alignas(64) Telemetry {
  public:
   // Pre-registered handles for the hot emit sites, resolved once here so
@@ -97,28 +96,23 @@ class alignas(64) Telemetry {
   //
   // Detectors: enabling stages detector-masked (cold) events in an
   // append-only buffer at run time; diagnosis itself is the sorted
-  // streaming replay in diagnose_episodes(), run at snapshot — which is
-  // what makes episodes identical across scheduler backends and shard
-  // widths (each shard stages its part of one global event multiset).
+  // streaming replay in diagnose_episodes(), run at snapshot, so episodes
+  // depend on the staged event multiset and not on its arrival order.
   void enable_detectors();
   void enable_tracer(std::size_t max_spans = std::size_t{1} << 16);
   bool detectors_enabled() const { return detectors_enabled_; }
   SpanTracer* tracer() { return tracer_.get(); }
 
-  // The staged detector stream (unsorted, in arrival order) and how many
-  // events the staging cap discarded. exp::World pools the staged streams
-  // of all shard bundles into one diagnose_episodes() call.
-  const std::vector<RecordedEvent>& staged_events() const { return staged_; }
+  // How many detector events the staging cap discarded.
   std::uint64_t staged_dropped() const { return staged_dropped_; }
 
   // Latest event time seen by observe() — the "now" used to finalize
   // detectors and spans at snapshot/teardown.
   sim::SimTime last_event_at() const { return last_event_at_; }
 
-  // Rolls everything up. `diagnose` = false skips the episode replay —
-  // exp::World merges per-bundle snapshots and diagnoses the pooled
-  // stream itself, so per-shard episode lists never leak out.
-  TelemetrySnapshot snapshot(bool diagnose = true) const;
+  // Rolls everything up, replaying the staged detector stream into
+  // diagnosed episodes.
+  TelemetrySnapshot snapshot() const;
 
  private:
   void dispatch_sinks(sim::SimTime at, EventKind kind, std::uint32_t subject,

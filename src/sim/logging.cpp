@@ -32,7 +32,7 @@ class StderrLogSink : public LogSink {
 
 StderrLogSink g_stderr_sink;
 LogSink* g_sink = &g_stderr_sink;
-// Shard workers (sim/sharded_engine.hpp) log concurrently; serialize the
+// Sweep workers (exp/parallel_runner.hpp) log concurrently; serialize the
 // format-and-write so records never interleave mid-line.
 std::mutex g_sink_mutex;
 }  // namespace

@@ -64,12 +64,6 @@ class Simulator {
   // ready-run refills); reset() zeroes them.
   CalendarQueue::Stats scheduler_stats() const { return queue_.stats(); }
 
-  // Time of the earliest pending event, SimTime::max() when the queue is
-  // empty. The sharded engine plans its conservative windows from this.
-  SimTime next_event_time() const {
-    return queue_.empty() ? SimTime::max() : queue_.next_time();
-  }
-
   // The telemetry bundle observing this world, or nullptr (the default —
   // bare Simulators in unit tests carry no telemetry and every emit site
   // degrades to a pointer test). Set via obs::Telemetry::attach; the

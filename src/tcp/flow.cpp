@@ -14,9 +14,9 @@ Flow make_flow(net::Network& network, net::Host& src, net::Host& dst,
   }
   Flow flow;
   flow.id = network.new_flow_id();
-  // The receiver lives in the destination shard's arena (its callbacks run
-  // on that shard); the factory decides where the sender lives — the
-  // protocol factories use the source shard's arena.
+  // The receiver lives in the destination host's arena; the factory
+  // decides where the sender lives — the protocol factories use the
+  // source host's arena.
   mem::Arena* arena = nullptr;
   if (mem::SimMemory* m = mem::memory_of(dst.simulator())) arena = &m->arena;
   flow.receiver =

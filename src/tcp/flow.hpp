@@ -14,7 +14,7 @@
 
 namespace trim::tcp {
 
-// ArenaPtr: the endpoints are carved from their shard's arena (contiguous
+// ArenaPtr: the endpoints are carved from their world's arena (contiguous
 // in creation order, destroyed individually, storage freed en masse with
 // the world). A plain std::make_unique factory still converts — the
 // deleter remembers heap-backed objects and deletes them normally.

@@ -33,8 +33,8 @@ TcpSender::TcpSender(net::Host* host, net::NodeId dst, net::FlowId flow, TcpConf
     throw ConfigError{"zero MSS", "TcpSender, flow " + std::to_string(flow_),
                       ">= 1 byte"};
   }
-  // Claim this flow's SoA slot in the shard's hot-state table (worlds
-  // attach a per-shard domain; bare simulators get a registry fallback),
+  // Claim this flow's SoA slot in the world's hot-state table (worlds
+  // attach a memory domain; bare simulators get a registry fallback),
   // then seed the window fields that used to be member initializers.
   hot_ = &mem::ensure_memory(*sim_).hot;
   slot_ = hot_->acquire(flow_);

@@ -92,7 +92,7 @@ class TcpSender : public net::Agent {
   }
 
   // ---- introspection ----
-  // The per-ACK hot fields live in the shard's mem::FlowHotTable (SoA
+  // The per-ACK hot fields live in the world's mem::FlowHotTable (SoA
   // columns, slot assigned at construction), not in this object; these
   // accessors read the columns. See mem/flow_hot_state.hpp.
   double cwnd() const { return hot_->cwnd(slot_); }
@@ -262,7 +262,7 @@ class TcpSender : public net::Agent {
   TcpConfig cfg_;
   sim::Simulator* sim_;
 
-  // This shard's hot-state table and our slot in it (acquired in the
+  // This world's hot-state table and our slot in it (acquired in the
   // constructor, released in the destructor). Holds cwnd / ssthresh /
   // snd_una / snd_next / the RTT estimator / the RTO deadline.
   mem::FlowHotTable* hot_ = nullptr;

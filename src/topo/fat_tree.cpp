@@ -23,15 +23,9 @@ FatTree build_fat_tree(net::Network& network, const FatTreeConfig& cfg) {
   const net::QueueConfig host_q{};
   const net::LinkSpec fabric_link{cfg.link_bps, cfg.link_delay, switch_q};
 
-  // Partition affinity: each pod is one group (its edge/agg switches and
-  // hosts exchange most of their traffic pod-locally), and the core layer
-  // is its own group — so pods spread across shards and every pod-to-pod
-  // path crosses at most two cuts. Group 0 = core, 1 + pod = each pod.
   // Core layer: (k/2)^2 switches.
   for (int i = 0; i < half * half; ++i) {
-    auto* core = network.add_switch("core" + std::to_string(i));
-    core->set_part_group(0);
-    topo.core_switches.push_back(core);
+    topo.core_switches.push_back(network.add_switch("core" + std::to_string(i)));
   }
 
   for (int pod = 0; pod < k; ++pod) {
@@ -39,12 +33,10 @@ FatTree build_fat_tree(net::Network& network, const FatTreeConfig& cfg) {
     for (int a = 0; a < half; ++a) {
       pod_agg.push_back(
           network.add_switch("p" + std::to_string(pod) + "agg" + std::to_string(a)));
-      pod_agg.back()->set_part_group(1 + pod);
     }
     for (int e = 0; e < half; ++e) {
       pod_edge.push_back(
           network.add_switch("p" + std::to_string(pod) + "edge" + std::to_string(e)));
-      pod_edge.back()->set_part_group(1 + pod);
     }
 
     // Aggregation <-> core: agg switch a connects to cores [a*half, (a+1)*half).
@@ -67,7 +59,6 @@ FatTree build_fat_tree(net::Network& network, const FatTreeConfig& cfg) {
       for (int h = 0; h < half; ++h) {
         auto* host = network.add_host("p" + std::to_string(pod) + "e" +
                                       std::to_string(e) + "h" + std::to_string(h));
-        host->set_part_group(1 + pod);
         const net::LinkSpec uplink{cfg.link_bps, cfg.link_delay, host_q};
         const net::LinkSpec downlink{cfg.link_bps, cfg.link_delay, switch_q};
         network.connect(*host, *pod_edge[e], uplink, downlink);

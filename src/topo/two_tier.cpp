@@ -20,20 +20,8 @@ TwoTier build_two_tier(net::Network& network, const TwoTierConfig& cfg) {
       cfg.switch_queue.value_or(net::QueueConfig::droptail_packets(cfg.switch_buffer_pkts));
   const net::QueueConfig host_q{};
 
-  // Partition affinity: the fabric and the front-end are the funnels every
-  // packet crosses, so they each get their own group with a weight scaled
-  // to the whole topology (~4 and ~2 link events per round trip); each
-  // rack (ToR + its servers) is one group. At 4 shards this puts fabric,
-  // frontend, and the racks on separate cores.
-  const double total_servers =
-      static_cast<double>(cfg.num_switches) * cfg.servers_per_switch;
-
   topo.fabric = network.add_switch("fabric");
-  topo.fabric->set_part_group(0);
-  topo.fabric->set_part_weight(4.0 * total_servers);
   topo.front_end = network.add_host("frontend");
-  topo.front_end->set_part_group(1);
-  topo.front_end->set_part_weight(2.0 * total_servers);
 
   const net::LinkSpec fab_to_fe{cfg.frontend_bps, cfg.frontend_delay, switch_q};
   const net::LinkSpec fe_to_fab{cfg.frontend_bps, cfg.frontend_delay, host_q};
@@ -42,7 +30,6 @@ TwoTier build_two_tier(net::Network& network, const TwoTierConfig& cfg) {
 
   for (int s = 0; s < cfg.num_switches; ++s) {
     auto* tor = network.add_switch("tor" + std::to_string(s));
-    tor->set_part_group(2 + s);
     topo.tors.push_back(tor);
     const net::LinkSpec tor_link{cfg.edge_bps, cfg.edge_delay, switch_q};
     network.connect(*tor, *topo.fabric, tor_link, tor_link);
@@ -51,7 +38,6 @@ TwoTier build_two_tier(net::Network& network, const TwoTierConfig& cfg) {
     for (int h = 0; h < cfg.servers_per_switch; ++h) {
       auto* host =
           network.add_host("s" + std::to_string(s) + "h" + std::to_string(h));
-      host->set_part_group(2 + s);
       const net::LinkSpec uplink{cfg.edge_bps, cfg.edge_delay, host_q};
       const net::LinkSpec downlink{cfg.edge_bps, cfg.edge_delay, switch_q};
       network.connect(*host, *tor, uplink, downlink);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "exp/concurrency_scenario.hpp"
@@ -283,6 +284,30 @@ TEST(Experiment, RepeatsHonorsEnvOverride) {
   EXPECT_EQ(repeats(5, 1), 9);
   ::unsetenv("REPRO_REPEATS");
   EXPECT_EQ(repeats(5, 1), quick_mode() ? 1 : 5);
+}
+
+// The scale scenarios keep a `shards` field for the frozen benchmark
+// driver, but the engine is serial: asking for more than one shard must
+// fail loudly and name the field, never run serially behind the caller's
+// back.
+TEST(Experiment, ScaleScenariosRejectMoreThanOneShard) {
+  LargeScaleConfig two_tier;
+  two_tier.shards = 2;
+  try {
+    run_large_scale(two_tier);
+    ADD_FAILURE() << "LargeScaleConfig::shards = 2 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.where(), "LargeScaleConfig::shards");
+  }
+  FattreeConfig fat_tree;
+  fat_tree.shards = 2;
+  try {
+    run_fattree(fat_tree);
+    ADD_FAILURE() << "FattreeConfig::shards = 2 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.where(), "FattreeConfig::shards");
+  }
+  EXPECT_THROW((World{2, std::nullopt, std::nullopt}), ConfigError);
 }
 
 TEST(Experiment, QueueSelectionMatchesProtocol) {

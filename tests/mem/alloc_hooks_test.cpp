@@ -76,8 +76,8 @@ TEST_F(AllocHooks, ResetZeroesTotalsButKeepsThreadRecords) {
 }
 
 TEST_F(AllocHooks, EachAllocatingThreadGetsItsOwnRecord) {
-  // The sharded engine's workers count into thread-local records; totals
-  // must sum across them without double counting or losing a thread.
+  // Parallel sweep workers count into thread-local records; totals must
+  // sum across them without double counting or losing a thread.
   constexpr int kThreads = 4;
   constexpr int kAllocsPerThread = 100;
   set_alloc_counting(true);
