@@ -4,38 +4,18 @@
 // be run on a laptop.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <functional>
-#include <new>
 
 #include "core/sender_factory.hpp"
 #include "exp/experiment.hpp"
 #include "exp/large_scale_scenario.hpp"
 #include "exp/parallel_runner.hpp"
+#include "mem/alloc_hooks.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/simulator.hpp"
 #include "topo/many_to_one.hpp"
 
 using namespace trim;
-
-// Global allocation counter: every operator new in the process ticks it.
-// The allocation benchmarks snapshot it around the measured region to
-// prove the event path stays heap-free in steady state.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -117,6 +97,10 @@ BENCHMARK(BM_RtoReschedule)->Arg(100)->Arg(10000);
 // queue with Packet-sized captures must stop allocating once its pools are
 // warm. Reported as allocations per push+dispatch cycle (expected: 0).
 void BM_EventPathAllocations(benchmark::State& state) {
+  if (!mem::alloc_hooks_active()) {
+    state.SkipWithError("trim_alloc_hook is not linked: allocations cannot be counted");
+    return;
+  }
   struct FakePacketCapture {  // same footprint as the link pipeline's capture
     unsigned char bytes[56];
     void* link;
@@ -137,14 +121,15 @@ void BM_EventPathAllocations(benchmark::State& state) {
   // through four level-0 windows before counting.
   for (int i = 0; i < 1024; ++i) cycle();
   std::uint64_t ops = 0;
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  mem::reset_alloc_counts();
+  mem::set_alloc_counting(true);
   for (auto _ : state) {
     cycle();
     ++ops;
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  mem::set_alloc_counting(false);
   state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(after - before) /
+      benchmark::Counter(static_cast<double>(mem::alloc_totals().allocs) /
                          static_cast<double>(ops == 0 ? 1 : ops));
   state.SetItemsProcessed(static_cast<int64_t>(ops));
 }

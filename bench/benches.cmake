@@ -28,6 +28,8 @@ trim_bench(bench_ablation_trim)
 
 trim_bench(bench_engine_micro)
 target_link_libraries(bench_engine_micro PRIVATE benchmark::benchmark)
+# The counting operator new/delete behind BM_EventPathAllocations.
+target_sources(bench_engine_micro PRIVATE $<TARGET_OBJECTS:trim_alloc_hook>)
 
 trim_bench(bench_flow_datapath)
 

@@ -4,10 +4,10 @@
 // operator new/delete in a real scenario run. The counting itself lives
 // here (thread-local records so parallel sweep workers never contend on a
 // shared counter); the actual operator new/delete replacement lives in
-// alloc_hooks_global.cpp, which is compiled *only* into the binaries that
-// gate allocations (tests/mem, bench_memory) via the trim_alloc_hook
-// OBJECT library — ordinary benches and the figure binaries keep the
-// stock allocator and pay nothing.
+// alloc_hooks_global.cpp, which is compiled *only* into the
+// allocation-gated binaries (tests/mem, bench_memory, bench_engine_micro,
+// perfbench) via the trim_alloc_hook OBJECT library — ordinary benches
+// and the figure binaries keep the stock allocator and pay nothing.
 //
 // Usage in a gated binary:
 //   ASSERT_TRUE(mem::alloc_hooks_active());   // hook is linked in

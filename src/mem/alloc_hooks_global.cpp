@@ -1,10 +1,11 @@
 // Global operator new/delete replacement feeding mem/alloc_hooks.
 //
-// Compiled ONLY into allocation-gated binaries (tests/mem, bench_memory)
-// as an OBJECT library, so the replacement is a strong definition in those
-// link lines and absent everywhere else. Covers the plain, nothrow,
-// aligned, and sized variants; all of them funnel through malloc/free so
-// mixing variants across new/delete stays well-defined.
+// Compiled ONLY into allocation-gated binaries (tests/mem, bench_memory,
+// bench_engine_micro, perfbench) as an OBJECT library, so the replacement
+// is a strong definition in those link lines and absent everywhere else.
+// Covers the plain, nothrow, aligned, and sized variants; all of them
+// funnel through malloc/free so mixing variants across new/delete stays
+// well-defined.
 #include <cstdlib>
 #include <new>
 

@@ -50,8 +50,10 @@ class Network {
   Duplex connect(Node& a, Node& b, const LinkSpec& spec);
   Duplex connect(Node& a, Node& b, const LinkSpec& a_to_b, const LinkSpec& b_to_a);
 
-  // Compute shortest-path ECMP routes for every switch. Must be called
-  // after the last connect() and before traffic starts.
+  // Compute shortest-path ECMP routes for every switch, replacing any
+  // earlier tables. Must be called after the last connect() and before
+  // traffic starts. Hosts do not forward, so paths transit switches only.
+  // Throws ConfigError if a switch has more ports than a table can name.
   void build_routes();
 
   FlowId new_flow_id() { return next_flow_id_++; }
@@ -70,10 +72,9 @@ class Network {
     std::size_t port;  // egress port index on the owning node
   };
 
-  std::vector<int> bfs_distances(NodeId from) const;
-
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Switch*> switches_;  // in add_switch order
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::vector<Edge>> adjacency_;  // node id -> edges
   FlowId next_flow_id_ = 1;

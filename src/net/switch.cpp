@@ -6,13 +6,13 @@
 namespace trim::net {
 
 void Switch::receive(Packet p) {
-  if (!routes_.has_route(p.dst)) {
+  const std::size_t port = routes_.select_port(p.dst, p.flow, id_);
+  if (port == RoutingTable::kNoRoute) {
     ++unroutable_;
     TRIM_LOG(sim::LogLevel::kWarn, sim_, "switch %s: no route for %s", name_.c_str(),
              p.describe().c_str());
     return;
   }
-  const std::size_t port = routes_.select_port(p.dst, p.flow, id_);
   ++forwarded_;
   out_links_[port]->send(std::move(p));
 }

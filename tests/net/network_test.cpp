@@ -180,13 +180,22 @@ TEST(Mix64, IsDeterministicAndSpreads) {
 }
 
 TEST(RoutingTable, ThrowsWithoutRoute) {
-  RoutingTable table;
-  table.resize(4);
-  EXPECT_FALSE(table.has_route(2));
-  EXPECT_THROW(table.ports_for(2), std::out_of_range);
-  table.add_route(2, 0);
-  EXPECT_TRUE(table.has_route(2));
+  // Four destinations; none has a route.
+  const RoutingTable empty{{0, 0, 0, 0, 0}, {}};
+  EXPECT_EQ(empty.select_port(2, 1234), RoutingTable::kNoRoute);
+  EXPECT_THROW(empty.ports_for(2), std::out_of_range);
+  // Destination 2 routes through port 0; ids past the table have no route.
+  const RoutingTable table{{0, 0, 0, 1, 1}, {0}};
   EXPECT_EQ(table.select_port(2, 1234), 0u);
+  EXPECT_EQ(table.ports_for(2).size(), 1u);
+  EXPECT_EQ(table.select_port(4, 1234), RoutingTable::kNoRoute);
+  EXPECT_EQ(table.select_port(kInvalidNode, 1234), RoutingTable::kNoRoute);
+  EXPECT_THROW(table.ports_for(kInvalidNode), std::out_of_range);
+  EXPECT_EQ(RoutingTable{}.select_port(0, 1234), RoutingTable::kNoRoute);
+  // Offsets must rise from 0 to the port count.
+  EXPECT_THROW((RoutingTable{{}, {}}), std::invalid_argument);
+  EXPECT_THROW((RoutingTable{{0, 2, 1}, {0}}), std::invalid_argument);
+  EXPECT_THROW((RoutingTable{{0, 0}, {0}}), std::invalid_argument);
 }
 
 }  // namespace

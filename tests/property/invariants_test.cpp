@@ -81,7 +81,9 @@ TEST_P(IncastInvariants, HoldAcrossProtocolsAndFanIn) {
   // (5) TRIM window floor.
   if (protocol == tcp::Protocol::kTrim) {
     for (const auto& trace : cwnd_traces) {
-      if (!trace->empty()) EXPECT_GE(trace->min_value(), 2.0);
+      if (!trace->empty()) {
+        EXPECT_GE(trace->min_value(), 2.0);
+      }
     }
   }
 }

@@ -149,8 +149,9 @@ TEST_P(AckLossFuzz, CumulativeAcksAbsorbAckLoss) {
   tcp::TcpReceiver receiver{&b, 1, a.id()};
   tcp::TcpConfig cfg;
   cfg.min_rto = sim::SimTime::millis(10);
-  auto sender = core::make_sender(tcp::Protocol::kReno, &a, b.id(), 1,
-                                  core::ProtocolOptions{.tcp = cfg});
+  core::ProtocolOptions opts;
+  opts.tcp = cfg;
+  auto sender = core::make_sender(tcp::Protocol::kReno, &a, b.id(), 1, opts);
   const std::uint64_t total = 300 * 1460;
   sender->write(total);
   sim.run_until(sim::SimTime::seconds(60));

@@ -20,6 +20,12 @@ bool can_transfer(exp::World& world, net::Host& src, net::Host& dst,
   return flow.sender->idle() && flow.receiver->delivered_bytes() == bytes;
 }
 
+FatTreeConfig fat_tree_k(int k) {
+  FatTreeConfig cfg;
+  cfg.k = k;
+  return cfg;
+}
+
 TEST(ManyToOne, StructureAndReachability) {
   exp::World world;
   ManyToOneConfig cfg;
@@ -58,8 +64,9 @@ TEST(ManyToOne, ServerRateOverrideApplies) {
   const auto topo = build_many_to_one(world.network, cfg);
   EXPECT_EQ(topo.servers[0]->out_link(0).bits_per_sec(), 1'100'000'000u);
   EXPECT_EQ(topo.bottleneck->bits_per_sec(), 1'000'000'000u);
-  EXPECT_THROW(build_many_to_one(world.network, ManyToOneConfig{.num_servers = 0}),
-               std::invalid_argument);
+  ManyToOneConfig empty;
+  empty.num_servers = 0;
+  EXPECT_THROW(build_many_to_one(world.network, empty), std::invalid_argument);
 }
 
 TEST(TwoTier, StructureAndCrossRackReachability) {
@@ -106,7 +113,7 @@ TEST(FatTree, StructureCountsMatchKAryFormulae) {
 
 TEST(FatTree, IntraPodAndInterPodRouting) {
   exp::World world;
-  const auto topo = build_fat_tree(world.network, FatTreeConfig{.k = 4});
+  const auto topo = build_fat_tree(world.network, fat_tree_k(4));
   // Same edge switch.
   EXPECT_TRUE(can_transfer(world, *topo.hosts[0], *topo.hosts[1]));
   // Same pod, different edge switch.
@@ -117,7 +124,7 @@ TEST(FatTree, IntraPodAndInterPodRouting) {
 
 TEST(FatTree, EcmpUsesMultipleCores) {
   exp::World world;
-  const auto topo = build_fat_tree(world.network, FatTreeConfig{.k = 4});
+  const auto topo = build_fat_tree(world.network, fat_tree_k(4));
   // Many flows from pod 0 to pod 3: the cores should share the load.
   std::vector<tcp::Flow> flows;
   for (int i = 0; i < 32; ++i) {
@@ -137,9 +144,9 @@ TEST(FatTree, EcmpUsesMultipleCores) {
 
 TEST(FatTree, RejectsOddK) {
   exp::World world;
-  EXPECT_THROW(build_fat_tree(world.network, FatTreeConfig{.k = 3}),
+  EXPECT_THROW(build_fat_tree(world.network, fat_tree_k(3)),
                std::invalid_argument);
-  EXPECT_THROW(build_fat_tree(world.network, FatTreeConfig{.k = 0}),
+  EXPECT_THROW(build_fat_tree(world.network, fat_tree_k(0)),
                std::invalid_argument);
 }
 
