@@ -86,7 +86,7 @@ int main() {
                    stats::Table::integer(
                        static_cast<long long>(world.network.total_drops()))});
     tele.merge(world.telemetry_snapshot());
-    report.add_row("n" + std::to_string(n),
+    report.add_row(std::string{"n"}.append(std::to_string(n)),
                    {{"pred_q_pkts", q_pred},
                     {"pred_qmax_pkts", qmax_pred},
                     {"meas_avg_q_pkts", queue_trace.time_weighted_mean()},

@@ -84,6 +84,7 @@ void InvariantChecker::check_now() {
   check_senders();
   check_receivers();
   check_listen_queues();
+  check_links();
   for (const auto& c : custom_) {
     if (auto detail = c.fn()) report(c.name, *detail);
   }
@@ -205,6 +206,22 @@ void InvariantChecker::check_receivers() {
     }
     if (st == tcp::ConnState::kTimeWait && !r->time_wait_timer_armed()) {
       report("lifecycle-liveness", who + ": TIME_WAIT with no dwell timer armed");
+    }
+  }
+}
+
+void InvariantChecker::check_links() {
+  for (const auto& link : network_->links()) {
+    if (link->queue().empty()) continue;
+    const auto pending = sim_->pending_time(link->tx_done_event());
+    if (!pending || *pending != link->busy_until()) {
+      report("link-liveness",
+             "link " + link->name() + ": " +
+                 std::to_string(link->queue().len_packets()) +
+                 " packet(s) queued, busy until " +
+                 std::to_string(link->busy_until().ns()) + " ns, but " +
+                 (pending ? "its tx-done is at " + std::to_string(pending->ns()) + " ns"
+                          : std::string{"no tx-done pending"}));
     }
   }
 }

@@ -25,7 +25,10 @@
 //   * no data before ESTABLISHED — a watched receiver must never have
 //     accepted a data segment while no connection was open;
 //   * backlog bounds — a watched listen queue's occupancy (and recorded
-//     peak) stays within [0, depth].
+//     peak) stays within [0, depth];
+//   * link liveness — a link whose egress queue holds a packet has its
+//     tx-done pending at its busy-until time. Occupancy is a timestamp
+//     (net/link.hpp), so a lost tx-done would stall the port silently.
 //
 // Checks run at explicit checkpoints: call check_now() wherever you like,
 // or schedule_checkpoints() to sample on a fixed grid during the run.
@@ -117,6 +120,7 @@ class InvariantChecker {
   void check_senders();
   void check_receivers();
   void check_listen_queues();
+  void check_links();
 
   sim::Simulator* sim_;
   net::Network* network_;

@@ -58,7 +58,7 @@ namespace {
 // no nesting. Still tolerant of unknown keys and reordered fields.
 bool find_value(std::string_view line, std::string_view key,
                 std::string_view& out) {
-  const std::string needle = "\"" + std::string{key} + "\":";
+  const std::string needle = std::string{"\""}.append(key).append("\":");
   const auto pos = line.find(needle);
   if (pos == std::string_view::npos) return false;
   std::size_t i = pos + needle.size();

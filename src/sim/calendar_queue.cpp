@@ -21,11 +21,12 @@ constexpr std::uint32_t level_of(std::int64_t at, std::int64_t cur) {
 
 }  // namespace
 
-EventId CalendarQueue::enqueue(std::uint32_t idx, SimTime at) {
+EventId CalendarQueue::enqueue(std::uint32_t idx, const EventKey& key) {
   if (buckets_.empty()) buckets_.resize(kBucketCount);
   Node& n = nodes_[idx];
-  n.at = at.ns();
-  n.seq = next_seq_++;
+  n.at = key.at;
+  n.lag = key.lag;
+  n.seq = key.seq;
   if (n.at <= cur_) {
     ready_insert(idx);
   } else {
@@ -54,6 +55,19 @@ bool CalendarQueue::is_pending(EventId id) const {
   return n.gen == id.gen_ && n.where != kWhereFree;
 }
 
+EventId CalendarQueue::rekey(EventId id, const EventKey& key) {
+  assert(is_pending(id));
+  const std::uint32_t idx = acquire_node();
+  callback(idx) = std::move(callback(id.slot_));
+  cancel(id);
+  return enqueue(idx, key);
+}
+
+std::optional<SimTime> CalendarQueue::pending_time(EventId id) const {
+  if (!is_pending(id)) return std::nullopt;
+  return SimTime::nanos(nodes_[id.slot_].at);
+}
+
 SimTime CalendarQueue::next_time() const {
   // Advancing the wheel (cascades, tombstone skips) never changes which
   // event dispatches next, so settling here is logically const.
@@ -73,7 +87,7 @@ CalendarQueue::Taken CalendarQueue::take_until(SimTime until) {
   ++n.gen;
   n.where = kWhereFree;
   --live_;
-  return Taken{SimTime::nanos(e.at), &callback(e.slot), e.slot};
+  return Taken{SimTime::nanos(e.at), &callback(e.slot), e.slot, e.lag, e.seq};
 }
 
 void CalendarQueue::clear() {
@@ -88,6 +102,7 @@ void CalendarQueue::clear() {
   cur_ = 0;
   next_seq_ = 1;
   live_ = 0;
+  pushes_ = 0;
   bucket_inserts_ = 0;
   refills_ = 0;
 }
@@ -155,17 +170,15 @@ void CalendarQueue::bucket_remove(std::uint32_t idx) {
 void CalendarQueue::ready_insert(std::uint32_t idx) {
   Node& n = nodes_[idx];
   n.where = kWhereReady;
-  // Keep the run sorted by (at, seq). New events carry the largest seq, so
-  // scanning back from the tail stops at the first entry not after them —
-  // an append in the common schedule-at-now case.
+  // Keep the run sorted by key. A plain push at `now` carries the latest
+  // push time and the largest seq, so scanning back from the tail stops at
+  // the first entry not after it — an append in the common case. A keyed
+  // push with an earlier push time or sequence scans further back.
+  const EventKey key = n.key();
   auto it = ready_.end();
   const auto first = ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_);
-  while (it != first) {
-    const ReadyEntry& e = *(it - 1);
-    if (e.at < n.at || (e.at == n.at && e.seq < n.seq)) break;
-    --it;
-  }
-  ready_.insert(it, ReadyEntry{n.at, n.seq, idx, n.gen});
+  while (it != first && key < (it - 1)->key()) --it;
+  ready_.insert(it, ReadyEntry{n.at, n.seq, n.lag, idx, n.gen});
 }
 
 void CalendarQueue::bucket_consumed(int level, int slot, std::size_t taken) {
@@ -205,18 +218,18 @@ void CalendarQueue::refill_ready() {
         if (i + 1 < vec.size()) __builtin_prefetch(&nodes_[vec[i + 1].slot]);
         Node& n = nodes_[vec[i].slot];
         n.where = kWhereReady;
-        ready_.push_back(ReadyEntry{n.at, n.seq, vec[i].slot, n.gen});
+        ready_.push_back(ReadyEntry{n.at, n.seq, n.lag, vec[i].slot, n.gen});
       }
       bucket_consumed(0, slot, vec.size());
       vec.clear();
-      // Restore the (time, seq) tie-break: equal-time events fire in
-      // insertion order. (Bucket entries are unordered — pushes append,
-      // cascades interleave — so the run is sorted once, when it goes live.)
+      // Restore the key order: equal-time events fire by push time, then
+      // sequence. (Bucket entries are unordered — pushes append, cascades
+      // interleave — so the run is sorted once, when it goes live.)
       if (ready_.size() - ready_pos_ > 1) {
         std::sort(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
                   ready_.end(),
                   [](const ReadyEntry& x, const ReadyEntry& y) {
-                    return x.seq < y.seq;
+                    return x.lag != y.lag ? x.lag > y.lag : x.seq < y.seq;
                   });
       }
       return;
@@ -237,7 +250,7 @@ void CalendarQueue::refill_ready() {
                            static_cast<std::uint32_t>(slot)];
       // Small-run path: levels below are empty and later buckets hold
       // later times, so this bucket holds exactly the next vec.size()
-      // events. Insertion-sorted by (time, seq) they are the ready run;
+      // events. Insertion-sorted by key they are the ready run;
       // the wheel jumps to the run's last time, which keeps every other
       // bucketed event at its level (the jump stays inside this bucket's
       // window), and pushes up to that time merge into the run the same

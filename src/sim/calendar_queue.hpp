@@ -1,7 +1,8 @@
 // Hierarchical calendar-queue (timing-wheel) scheduler with amortized O(1)
 // schedule / dispatch / cancel: the Simulator's pending-event set. Events fire
-// in (time, insertion-sequence) order, cancellation is true removal, stale
-// EventIds are no-ops by construction, and steady state allocates nothing.
+// in EventKey order (time, then push time, then sequence), cancellation is
+// true removal, stale EventIds are no-ops by construction, and steady state
+// allocates nothing.
 // tests/sim/reference_heap.hpp holds a plain 4-ary heap with the same
 // contract; the scheduler equivalence tests check this queue against it
 // dispatch for dispatch. See docs/ENGINE.md for the lifecycle.
@@ -17,17 +18,19 @@
 // scan, not a walk.
 //
 // Operations:
-//   - push: compute (level, bucket) with an xor and a count-leading-zeros,
-//     append a (time, slot) entry to the bucket's vector, and construct the
+//   - push: stamp the event's key (a fresh sequence, or one reserved
+//     earlier with reserve_seq), compute (level, bucket) with an xor and a
+//     count-leading-zeros, append a (time, slot) entry to the bucket's
+//     vector, and construct the
 //     callable directly in the slot's callback storage. Amortized O(1), no
 //     allocation in steady state (nodes come from a free list, bucket
 //     vectors keep their capacity, callback chunks are never freed).
 //   - take_until / retire: serve from the "ready run", a short list sorted
-//     by (time, seq). When the run drains, advance the wheel to the next
+//     by key. When the run drains, advance the wheel to the next
 //     occupied bucket. A level-0 bucket becomes the run directly (all its
 //     events share one timestamp). A higher-level bucket that holds at most
 //     kSmallRun events holds exactly the next events in time order, so it
-//     becomes the run too, insertion-sorted, and the wheel jumps to the
+//     becomes the run too, insertion-sorted by key, and the wheel jumps to the
 //     run's last time (sparse-wheel path; datacenter event horizons leave
 //     most buckets this small). A larger bucket cascades its events down
 //     one or more levels first. An event cascades at most (levels - 1)
@@ -39,17 +42,19 @@
 //     the ready run that dispatch skips. EventId generations make
 //     cancel-after-fire and slot-reuse no-ops.
 //
-// The tie-break invariant the figure benches depend on: the ready run is
-// always in (time, seq) order. A level-0 bucket's events share one
-// timestamp (within the current 256-tick window the low byte *is* the
-// time), so sorting it by insertion sequence yields that order; a small
-// run is sorted by both keys. Events pushed at or before the wheel
-// position — including events scheduled "now" from inside callbacks —
-// merge into the live run at their sorted position.
+// The tie-break invariant the figure benches depend on: events fire in
+// EventKey order, (time, push time, sequence), and the ready run is always
+// kept in that order. A level-0 bucket's events share one timestamp (within
+// the current 256-tick window the low byte *is* the time), so sorting it by
+// (push time, sequence) yields that order; a small run is sorted by the
+// whole key. Events pushed at or before the wheel position — including
+// events scheduled "now" from inside callbacks and keyed pushes that carry
+// an earlier sequence — merge into the live run at their sorted position.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -76,6 +81,42 @@ class EventId {
   std::uint32_t gen_ = 0;
 };
 
+// An event's dispatch key. Equal-time events fire in push-time order, and
+// events pushed at the same instant in sequence order. A plain push draws a
+// fresh sequence and is stamped with the clock at the push, so this is
+// exactly insertion order. A keyed push carries a push time and a sequence
+// reserved earlier (CalendarQueue::reserve_seq): the position an event
+// would have had if an earlier event, which never runs, had pushed it. A
+// fused link arrival takes the key its tx-done would have given it this way
+// (net/link.hpp).
+//
+// The push time is stored as the lag `at - push time` in 32 bits,
+// saturating at 2^32-1 ns (~4.3 s), and compared descending. Saturation
+// keeps the order exact: equal-time events whose lags both saturate fall
+// back to sequence order, which for plain pushes is push order.
+struct EventKey {
+  static constexpr std::uint32_t kMaxLag = 0xffff'ffff;
+
+  std::int64_t at = 0;    // nanoseconds
+  std::uint32_t lag = 0;  // at - push time, saturated
+  std::uint64_t seq = 0;
+
+  static constexpr EventKey make(SimTime at, SimTime pushed_at,
+                                 std::uint64_t seq) {
+    const std::int64_t lag = at.ns() - pushed_at.ns();
+    return EventKey{at.ns(),
+                    lag >= std::int64_t{kMaxLag}
+                        ? kMaxLag
+                        : static_cast<std::uint32_t>(lag),
+                    seq};
+  }
+  friend constexpr bool operator<(const EventKey& x, const EventKey& y) {
+    if (x.at != y.at) return x.at < y.at;
+    if (x.lag != y.lag) return x.lag > y.lag;
+    return x.seq < y.seq;
+  }
+};
+
 class CalendarQueue {
  public:
   using Callback = InlineCallback;
@@ -90,20 +131,30 @@ class CalendarQueue {
     SimTime at;
     Callback* cb = nullptr;  // nullptr: nothing was due
     std::uint32_t slot = 0;
+    std::uint32_t lag = 0;
+    std::uint64_t seq = 0;
     explicit operator bool() const { return cb != nullptr; }
+    EventKey key() const { return EventKey{at.ns(), lag, seq}; }
   };
 
   // Always-on work counters since construction or the last clear().
   struct Stats {
-    std::uint64_t pushes = 0;
+    std::uint64_t pushes = 0;          // events pushed (not reserved keys)
     std::uint64_t bucket_inserts = 0;  // incl. re-insertion by cascades
     std::uint64_t refills = 0;         // times the ready run was refilled
   };
 
-  // Schedule `f` (a void() callable or a Callback) at `at`. The callable
-  // is constructed directly in its slot's callback storage.
+  // Schedule `f` (a void() callable or a Callback) at `at`, after every
+  // event already pushed for `at` (a zero lag and a fresh sequence). The
+  // callable is constructed directly in its slot's callback storage.
   template <typename F>
   EventId push(SimTime at, F&& f) {
+    return push(EventKey{at.ns(), 0, reserve_seq()}, std::forward<F>(f));
+  }
+  // Schedule `f` under an explicit key. Its sequence comes from
+  // reserve_seq() and keys no other pending event.
+  template <typename F>
+  EventId push(const EventKey& key, F&& f) {
     const std::uint32_t idx = acquire_node();
     try {
       callback(idx).assign(std::forward<F>(f));
@@ -111,8 +162,17 @@ class CalendarQueue {
       release_node(idx);
       throw;
     }
-    return enqueue(idx, at);
+    ++pushes_;
+    return enqueue(idx, key);
   }
+
+  // Move a pending event, callback and all, to a new key; returns its new
+  // id (the old one goes stale). Not a push in stats().
+  EventId rekey(EventId id, const EventKey& key);
+
+  // Take the next sequence number without pushing anything: a later keyed
+  // push can then take the place among equal keys that a push now would.
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   // O(1) true removal. No-op for invalid or stale ids (the generation
   // tag catches cancel-after-fire and slot reuse).
@@ -120,6 +180,8 @@ class CalendarQueue {
 
   // True while `id` refers to a scheduled-but-not-yet-dispatched event.
   bool is_pending(EventId id) const;
+  // The time of a pending event; nullopt when `id` is not pending.
+  std::optional<SimTime> pending_time(EventId id) const;
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
@@ -140,7 +202,7 @@ class CalendarQueue {
     free_head_ = ev.slot;
   }
 
-  Stats stats() const { return {next_seq_ - 1, bucket_inserts_, refills_}; }
+  Stats stats() const { return {pushes_, bucket_inserts_, refills_}; }
 
   void clear();
 
@@ -164,11 +226,16 @@ class CalendarQueue {
   // entry — no neighbor nodes are ever touched.
   struct Node {
     std::int64_t at = 0;         // raw nanoseconds, as pushed
-    std::uint64_t seq = 0;       // insertion order, tiebreak at equal times
+    std::uint64_t seq = 0;       // EventKey::seq
     std::uint32_t gen = 0;       // bumped on release; stale-id detector
-    std::uint32_t free_next = kNil;  // free-list link
-    std::uint32_t pos = 0;       // index of this event's bucket entry
+    union {
+      std::uint32_t free_next = kNil;  // free-list link, while free
+      std::uint32_t pos;               // its bucket entry, while bucketed
+    };
+    std::uint32_t lag = 0;       // EventKey::lag
     std::uint16_t where = kWhereFree;
+
+    EventKey key() const { return EventKey{at, lag, seq}; }
   };
   static_assert(sizeof(Node) == 32);
 
@@ -182,8 +249,11 @@ class CalendarQueue {
   struct ReadyEntry {
     std::int64_t at;
     std::uint64_t seq;
+    std::uint32_t lag;
     std::uint32_t slot;
     std::uint32_t gen;
+
+    EventKey key() const { return EventKey{at, lag, seq}; }
   };
 
   // Buckets at level >= 1 this small are served as a sorted run instead
@@ -201,9 +271,9 @@ class CalendarQueue {
   }
   std::uint32_t grow_nodes();
   void release_node(std::uint32_t idx);
-  // Stamp a freshly acquired node with its time and sequence and file it
-  // in the ready run or a bucket.
-  EventId enqueue(std::uint32_t idx, SimTime at);
+  // Stamp a freshly acquired node with its key and file it in the ready
+  // run or a bucket.
+  EventId enqueue(std::uint32_t idx, const EventKey& key);
   std::uint32_t bucket_of(std::int64_t at) const;
   void bucket_insert(std::uint32_t bucket, std::uint32_t idx);
   void bucket_remove(std::uint32_t idx);
@@ -247,6 +317,7 @@ class CalendarQueue {
   std::int64_t cur_ = 0;  // wheel position: timestamp of the ready run
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
+  std::uint64_t pushes_ = 0;
   std::uint64_t bucket_inserts_ = 0;
   std::uint64_t refills_ = 0;
 };

@@ -32,11 +32,13 @@ FatTree build_fat_tree(net::Network& network, const FatTreeConfig& cfg) {
     std::vector<net::Switch*> pod_agg, pod_edge;
     for (int a = 0; a < half; ++a) {
       pod_agg.push_back(
-          network.add_switch("p" + std::to_string(pod) + "agg" + std::to_string(a)));
+          network.add_switch(std::string{"p"}.append(std::to_string(pod)).append("agg").append(
+              std::to_string(a))));
     }
     for (int e = 0; e < half; ++e) {
       pod_edge.push_back(
-          network.add_switch("p" + std::to_string(pod) + "edge" + std::to_string(e)));
+          network.add_switch(std::string{"p"}.append(std::to_string(pod)).append("edge").append(
+              std::to_string(e))));
     }
 
     // Aggregation <-> core: agg switch a connects to cores [a*half, (a+1)*half).
@@ -57,8 +59,12 @@ FatTree build_fat_tree(net::Network& network, const FatTreeConfig& cfg) {
     // Hosts: k/2 per edge switch.
     for (int e = 0; e < half; ++e) {
       for (int h = 0; h < half; ++h) {
-        auto* host = network.add_host("p" + std::to_string(pod) + "e" +
-                                      std::to_string(e) + "h" + std::to_string(h));
+        auto* host = network.add_host(std::string{"p"}
+                                          .append(std::to_string(pod))
+                                          .append("e")
+                                          .append(std::to_string(e))
+                                          .append("h")
+                                          .append(std::to_string(h)));
         const net::LinkSpec uplink{cfg.link_bps, cfg.link_delay, host_q};
         const net::LinkSpec downlink{cfg.link_bps, cfg.link_delay, switch_q};
         network.connect(*host, *pod_edge[e], uplink, downlink);

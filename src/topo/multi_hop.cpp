@@ -40,10 +40,11 @@ MultiHop build_multi_hop(net::Network& network, const MultiHopConfig& cfg) {
   };
 
   for (int i = 0; i < cfg.group_size; ++i) {
-    topo.group_a.push_back(add_edge_host(*topo.switch1, "a" + std::to_string(i)));
-    topo.group_b.push_back(add_edge_host(*topo.switch2, "b" + std::to_string(i)));
-    topo.group_c.push_back(add_edge_host(*topo.switch1, "c" + std::to_string(i)));
-    topo.group_d.push_back(add_edge_host(*topo.switch2, "d" + std::to_string(i)));
+    const std::string index = std::to_string(i);
+    topo.group_a.push_back(add_edge_host(*topo.switch1, std::string{"a"}.append(index)));
+    topo.group_b.push_back(add_edge_host(*topo.switch2, std::string{"b"}.append(index)));
+    topo.group_c.push_back(add_edge_host(*topo.switch1, std::string{"c"}.append(index)));
+    topo.group_d.push_back(add_edge_host(*topo.switch2, std::string{"d"}.append(index)));
   }
 
   network.build_routes();

@@ -37,7 +37,8 @@ TwoTier build_two_tier(net::Network& network, const TwoTierConfig& cfg) {
     topo.servers.emplace_back();
     for (int h = 0; h < cfg.servers_per_switch; ++h) {
       auto* host =
-          network.add_host("s" + std::to_string(s) + "h" + std::to_string(h));
+          network.add_host(std::string{"s"}.append(std::to_string(s)).append("h").append(
+              std::to_string(h)));
       const net::LinkSpec uplink{cfg.edge_bps, cfg.edge_delay, host_q};
       const net::LinkSpec downlink{cfg.edge_bps, cfg.edge_delay, switch_q};
       network.connect(*host, *tor, uplink, downlink);

@@ -7,6 +7,7 @@
 #include "exp/experiment.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/invariant_checker.hpp"
+#include "net/link.hpp"
 #include "topo/many_to_one.hpp"
 
 namespace trim::fault {
@@ -128,6 +129,30 @@ TEST(InvariantChecker, WatchedInjectorFaultMatrixStaysConserved) {
   EXPECT_TRUE(checker.violations().empty())
       << checker.violations().front().invariant << " — "
       << checker.violations().front().detail;
+}
+
+// A busy port is only a timestamp plus, while packets wait, one pending
+// tx-done. A link that lost that event would hold its queue forever without
+// a trace; the link-liveness check catches it.
+TEST(InvariantChecker, LinkWithLostTxDoneIsALivenessViolation) {
+  Incast inc{tcp::Protocol::kReno, 5};
+  InvariantChecker checker{&inc.world.simulator, &inc.world.network};
+  for (auto& f : inc.flows) f.sender->write(2000 * 1460);
+  inc.world.simulator.run_until(sim::SimTime::millis(5));
+  net::Link& bottleneck = *inc.topo.bottleneck;
+  ASSERT_FALSE(bottleneck.queue().empty());
+  checker.check_now();
+  EXPECT_TRUE(checker.violations().empty())
+      << checker.violations().front().invariant << " — "
+      << checker.violations().front().detail;
+
+  inc.world.simulator.cancel(bottleneck.tx_done_event());  // break the link
+  checker.check_now();
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "link-liveness");
+  EXPECT_NE(checker.violations()[0].detail.find("no tx-done pending"),
+            std::string::npos)
+      << checker.violations()[0].detail;
 }
 
 TEST(InvariantChecker, CustomCheckReportsWithItsName) {

@@ -2,13 +2,13 @@
 //
 // The simulator runs on the calendar-queue wheel (sim/calendar_queue.hpp).
 // This heap implements the same contract in the most direct way — events
-// dispatch in (time, insertion-sequence) order, cancellation is true
-// removal, stale ids are no-ops by construction — and the scheduler tests
-// check the wheel against it dispatch for dispatch. It is not linked into
-// the simulator.
+// dispatch in EventKey order (time, then push time as a descending lag,
+// then sequence), keyed pushes may carry a sequence reserved earlier,
+// cancellation is true removal, stale ids are no-ops by construction — and
+// the scheduler tests check the wheel against it dispatch for dispatch. It
+// is not linked into the simulator.
 //
-// Events live in a slot pool; the heap orders slot indices by
-// (time, insertion sequence). Each slot carries a generation counter that
+// Events live in a slot pool; the heap orders slot indices by key. Each slot carries a generation counter that
 // is bumped every time the slot is released (fired or cancelled); an Id is
 // (slot, generation), so cancel() on a stale id — already fired, already
 // cancelled, or a recycled slot — is a no-op. Live cancellation removes
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/calendar_queue.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/time.hpp"
 
@@ -51,7 +52,12 @@ class ReferenceHeap {
     std::uint32_t gen_ = 0;
   };
 
+  // A plain push: zero lag, fresh sequence (CalendarQueue::push(at, f)).
   Id push(SimTime at, Callback cb) {
+    return push(EventKey{at.ns(), 0, reserve_seq()}, std::move(cb));
+  }
+
+  Id push(const EventKey& key, Callback cb) {
     std::uint32_t idx;
     if (free_head_ != kNil) {
       idx = free_head_;
@@ -64,10 +70,11 @@ class ReferenceHeap {
     s.cb = std::move(cb);
     s.next_free = kNil;
     heap_.emplace_back();  // opens the hole sift_up fills
-    sift_up(static_cast<std::uint32_t>(heap_.size()) - 1,
-            HeapEntry{at, next_seq_++, idx});
+    sift_up(static_cast<std::uint32_t>(heap_.size()) - 1, HeapEntry{key, idx});
     return Id{idx, s.gen};
   }
+
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   void cancel(Id id) {
     if (!is_pending(id)) return;
@@ -85,13 +92,13 @@ class ReferenceHeap {
 
   SimTime next_time() const {
     assert(!heap_.empty());
-    return heap_[0].at;
+    return SimTime::nanos(heap_[0].key.at);
   }
 
   Popped pop() {
     assert(!heap_.empty());
     const std::uint32_t idx = heap_[0].slot;
-    Popped out{heap_[0].at, std::move(slots_[idx].cb)};
+    Popped out{SimTime::nanos(heap_[0].key.at), std::move(slots_[idx].cb)};
     const HeapEntry tail = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0, tail);
@@ -116,13 +123,13 @@ class ReferenceHeap {
   };
 
   struct HeapEntry {
-    SimTime at;
-    std::uint64_t seq;  // insertion order, tiebreak at equal times
+    EventKey key;
     std::uint32_t slot;
   };
   static bool before(const HeapEntry& x, const HeapEntry& y) {
-    if (x.at != y.at) return x.at < y.at;
-    return x.seq < y.seq;
+    if (x.key.at != y.key.at) return x.key.at < y.key.at;
+    if (x.key.lag != y.key.lag) return x.key.lag > y.key.lag;
+    return x.key.seq < y.key.seq;
   }
 
   // 4-ary layout: children of position p are 4p+1 .. 4p+4, parent is
@@ -182,7 +189,7 @@ class ReferenceHeap {
   }
 
   std::vector<Slot> slots_;
-  std::vector<HeapEntry> heap_;  // 4-ary min-heap on (at, seq)
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap on the key
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 1;
 };

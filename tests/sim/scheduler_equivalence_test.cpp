@@ -2,9 +2,10 @@
 // exactly like the reference 4-ary heap (reference_heap.hpp). Each case
 // drives the same deterministic workload through both side by side and
 // asserts the dispatch sequences — (time, which-event) pairs, not just
-// times — match exactly: same-time ties, cancellations (pending, fired,
-// and recycled-slot stale), mid-callback scheduling, run_until
-// boundaries, and a fig. 8-scale pending set all behave the same.
+// times — match exactly: same-time ties, keyed pushes under reserved
+// sequences, cancellations (pending, fired, and recycled-slot stale),
+// mid-callback scheduling, run_until boundaries, and a fig. 8-scale
+// pending set all behave the same.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -165,6 +166,70 @@ std::uint64_t fig08_mix_checksum(int flows, std::uint64_t pops) {
   return checksum;
 }
 
+// Keyed pushes the way fused link hops make them, against plain pushes
+// stamped like Simulator::schedule (pushed now, fresh sequence). A
+// reservation takes a sequence now for a logical push time a little ahead
+// (a transmission end); later in the script a keyed event is pushed under
+// it, at or after that push time. Delays come from a tiny grid, so equal
+// times and equal push times — where only the lag and the sequence decide —
+// are common; an occasional long delay sends events up the wheel levels.
+template <typename Queue>
+std::vector<std::pair<std::int64_t, std::size_t>> replay_keyed(std::uint64_t seed,
+                                                               int rounds) {
+  struct Reservation {
+    std::uint64_t seq;
+    std::int64_t pushed_at;
+  };
+  Queue q;
+  Lcg rnd{seed};
+  SimTime now;
+  std::size_t next_ordinal = 0;
+  std::size_t fired = 0;
+  std::vector<Reservation> reserved;
+  std::vector<std::pair<std::int64_t, std::size_t>> trace;
+  auto push = [&](const EventKey& key) {
+    q.push(key, [&fired, o = next_ordinal++] { fired = o; });
+  };
+  auto delay = [&] {
+    return static_cast<std::int64_t>(rnd.next() % 16 == 0 ? rnd.next() % 100'000
+                                                          : rnd.next() % 8);
+  };
+  auto dispatch = [&] {
+    if (dispatch_until(q, SimTime::max(), now)) trace.emplace_back(now.ns(), fired);
+  };
+  for (int i = 0; i < rounds; ++i) {
+    const auto roll = rnd.next() % 10;
+    if (roll < 3) {
+      push(EventKey::make(now + SimTime::nanos(delay()), now, q.reserve_seq()));
+    } else if (roll < 5) {
+      reserved.push_back({q.reserve_seq(), now.ns() + delay()});
+    } else if (roll < 7 && !reserved.empty()) {
+      const std::size_t pick = rnd.next() % reserved.size();
+      const Reservation r = reserved[pick];
+      reserved[pick] = reserved.back();
+      reserved.pop_back();
+      const std::int64_t at = r.pushed_at + static_cast<std::int64_t>(rnd.next() % 4);
+      if (at >= now.ns()) {
+        push(EventKey::make(SimTime::nanos(at), SimTime::nanos(r.pushed_at), r.seq));
+      }
+    } else {
+      dispatch();
+    }
+  }
+  while (!q.empty()) dispatch();
+  return trace;
+}
+
+TEST(SchedulerEquivalence, KeyedPushesTieWithPlainPushesIdentically) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::uint64_t s = seed * 0x9e3779b97f4a7c15ull;
+    const auto heap = replay_keyed<ReferenceHeap>(s, 6000);
+    const auto wheel = replay_keyed<CalendarQueue>(s, 6000);
+    ASSERT_GT(heap.size(), 1000u);
+    ASSERT_EQ(heap, wheel) << "seed " << seed;
+  }
+}
+
 TEST(SchedulerEquivalence, Fig08EventMixAtPaperScaleDispatchesIdentically) {
   constexpr int kFlows = 4200;
   constexpr std::uint64_t kPops = 200'000;
@@ -192,6 +257,21 @@ struct Harness {
   }
   Id push(std::int64_t at) {
     return push(at, [] {});
+  }
+  // A push under an explicit key (a plain push above is keyed (at, zero
+  // lag, fresh sequence)).
+  template <typename Action>
+  Id push_key(const EventKey& key, Action action) {
+    const std::size_t ordinal = ids.size();
+    ids.emplace_back();
+    ids[ordinal] = q.push(key, [this, ordinal, action]() mutable {
+      trace.emplace_back(now.ns(), ordinal);
+      action();
+    });
+    return ids[ordinal];
+  }
+  Id push_key(const EventKey& key) {
+    return push_key(key, [] {});
   }
   void drain() {
     while (dispatch_until(q, SimTime::max(), now)) {
@@ -324,6 +404,80 @@ typename Harness<Queue>::Trace cancels_inside_served_run() {
   return h.trace;
 }
 
+// Keyed events pushed late into a served run, under sequences reserved
+// before the run's own events were pushed. The run is the four events
+// pushed at time 0 into one level-2 bucket; while its first event runs at
+// 70'000, keyed and plain events land on the run's times. At equal times
+// the earlier push time goes first, and at equal push times the lower
+// (reserved) sequence.
+template <typename Queue>
+typename Harness<Queue>::Trace reserved_keys_inside_served_run() {
+  Harness<Queue> h;
+  auto t = [](std::int64_t ns) { return SimTime::nanos(ns); };
+  const std::uint64_t early_a = h.q.reserve_seq();
+  const std::uint64_t early_b = h.q.reserve_seq();
+  h.push_key(EventKey::make(t(70'000), t(0), h.q.reserve_seq()), [&h, t, early_a,
+                                                                  early_b] {
+    const std::uint64_t mid = h.q.reserve_seq();
+    h.push_key(EventKey::make(t(90'000), t(0), early_a));    // 4: before 2
+    h.push_key(EventKey::make(t(90'000), t(60'000), mid));   // 5: after 2
+    h.push_key(EventKey::make(t(90'000), t(70'000), h.q.reserve_seq()));  // 6
+    h.push_key(EventKey::make(t(75'000), t(72'000), h.q.reserve_seq()));  // 7
+    h.push_key(EventKey::make(t(120'000), t(0), early_b));   // 8: before 3
+  });
+  h.push_key(EventKey::make(t(75'000), t(0), h.q.reserve_seq()));
+  h.push_key(EventKey::make(t(90'000), t(0), h.q.reserve_seq()));
+  h.push_key(EventKey::make(t(120'000), t(0), h.q.reserve_seq()));
+  h.drain();
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, ReservedKeysPushedLateInsideServedRunKeepKeyOrder) {
+  using Trace = Harness<CalendarQueue>::Trace;
+  const Trace want{{70'000, 0}, {75'000, 1}, {75'000, 7}, {90'000, 4},
+                   {90'000, 2}, {90'000, 5}, {90'000, 6}, {120'000, 8},
+                   {120'000, 3}};
+  EXPECT_EQ(reserved_keys_inside_served_run<ReferenceHeap>(), want);
+  EXPECT_EQ(reserved_keys_inside_served_run<CalendarQueue>(), want);
+}
+
+// Lags at and above the 32-bit saturation point (2^32-1 ns, ~4.3 s). All
+// six events fire at 20 s. Lags that saturate compare equal, so those
+// events fall back to sequence order — which is their push order whenever
+// sequences were drawn in push order (keys 0-2). Key 5 was pushed earliest
+// but under the latest sequence; saturated, it goes after keys 0-2 and
+// still before every unsaturated lag.
+template <typename Queue>
+typename Harness<Queue>::Trace lag_saturation() {
+  constexpr std::int64_t kAt = 20'000'000'000;
+  constexpr std::int64_t kMax = EventKey::kMaxLag;
+  Harness<Queue> h;
+  std::vector<EventKey> keys;
+  for (const std::int64_t lag : {std::int64_t{1} << 33, kMax + 1, kMax, kMax - 1,
+                                  std::int64_t{5}, std::int64_t{1} << 34}) {
+    keys.push_back(EventKey::make(SimTime::nanos(kAt), SimTime::nanos(kAt - lag),
+                                  h.q.reserve_seq()));
+  }
+  EXPECT_EQ(keys[0].lag, EventKey::kMaxLag);
+  EXPECT_EQ(keys[1].lag, EventKey::kMaxLag);
+  EXPECT_EQ(keys[2].lag, EventKey::kMaxLag);
+  EXPECT_EQ(keys[3].lag, EventKey::kMaxLag - 1);
+  // Pushed in an order unlike the dispatch order: ordinals 0-5 are keys
+  // 4, 3, 5, 0, 2, 1.
+  for (const std::size_t i : {4, 3, 5, 0, 2, 1}) h.push_key(keys[i]);
+  h.drain();
+  return h.trace;
+}
+
+TEST(SchedulerEquivalence, SaturatedLagsFallBackToSequenceOrder) {
+  using Trace = Harness<CalendarQueue>::Trace;
+  constexpr std::int64_t kAt = 20'000'000'000;
+  // Keys 0, 1, 2, 5, 3, 4.
+  const Trace want{{kAt, 3}, {kAt, 5}, {kAt, 4}, {kAt, 2}, {kAt, 1}, {kAt, 0}};
+  EXPECT_EQ(lag_saturation<ReferenceHeap>(), want);
+  EXPECT_EQ(lag_saturation<CalendarQueue>(), want);
+}
+
 TEST(SchedulerEquivalence, CancelsInsideServedRunLeaveTombstones) {
   using Trace = Harness<CalendarQueue>::Trace;
   const Trace want{{70'000, 0}, {90'000, 2}, {110'000, 5}};
@@ -396,7 +550,8 @@ class ReferenceSimulator {
  public:
   SimTime now() const { return now_; }
   ReferenceHeap::Id schedule(SimTime delay, InlineCallback cb) {
-    return queue_.push(now_ + delay, std::move(cb));
+    return queue_.push(EventKey::make(now_ + delay, now_, queue_.reserve_seq()),
+                       std::move(cb));
   }
   void cancel(ReferenceHeap::Id id) { queue_.cancel(id); }
   std::uint64_t run_until(SimTime until) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/link.hpp"
+#include "net/node.hpp"
 #include "sim/simulator.hpp"
 
 namespace trim::sim {
@@ -159,6 +161,36 @@ TEST(Simulator, SparseTimerChainsBucketInsertEachEventAtMostOnce) {
     EXPECT_LE(stats.bucket_inserts, stats.pushes) << chains << " chains";
     EXPECT_GT(stats.refills, 0u) << chains << " chains";
   }
+}
+
+// A fused link hop reserves its tx-done's sequence without pushing an
+// event, so the push counter must count the events pushed, not the
+// sequences drawn: after the run it equals the events dispatched.
+TEST(Simulator, PushCounterCountsEventsNotReservedSequences) {
+  struct Sink : net::Node {
+    using Node::Node;
+    void receive(net::Packet) override { ++got; }
+    int got = 0;
+  };
+  Simulator sim;
+  Sink sink{&sim, 1, "sink"};
+  net::Link link{&sim, "l", 1'000'000'000, SimTime::micros(1),
+                 std::make_unique<net::Queue>()};
+  link.set_peer(&sink);
+  net::Packet p;
+  p.payload_bytes = 1460;
+  // Five idle hops, then a burst of four behind one busy wire.
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule(SimTime::micros(100 * i), [&] { link.send(p); });
+  }
+  sim.schedule(SimTime::micros(600), [&] {
+    for (int k = 0; k < 4; ++k) link.send(p);
+  });
+  sim.run();
+  EXPECT_EQ(sink.got, 9);
+  // 6 scheduled sends, 1 event per idle hop, 2*4-1 for the burst.
+  EXPECT_EQ(sim.events_dispatched(), 6u + 5u + 7u);
+  EXPECT_EQ(sim.scheduler_stats().pushes, sim.events_dispatched());
 }
 
 }  // namespace
